@@ -49,9 +49,12 @@
 #                             # recovery rows in BENCH_fault_matrix.json
 #   ci/sanitize.sh --native   # additionally a PRIVREC_NATIVE_ARCH=ON
 #                             # (-march=native) smoke build running the
-#                             # kernel differential + incremental suites,
-#                             # proving the vectorized codegen stays
-#                             # bitwise-identical to the portable build
+#                             # kernel differential, incremental and
+#                             # mechanisms suites, proving the vectorized
+#                             # codegen stays bitwise-identical to the
+#                             # portable build for both callers of the
+#                             # shared radix sort (2-hop finalize and the
+#                             # zero-block support index)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -247,11 +250,14 @@ if [[ "$run_native" == "1" ]]; then
   echo "=== [native] configure + build (-march=native) ==="
   cmake --preset native
   cmake --build --preset native -j "$(nproc)"
-  echo "=== [native] ctest (kernel differential + incremental) ==="
+  echo "=== [native] ctest (kernel differential + incremental + mechanisms) ==="
   # The bitwise-identity contract must survive the widest codegen the host
-  # offers: the differential suite re-checks kernel == naive, and the
-  # incremental suite re-checks patch == fresh Compute, both under
-  # -march=native.
+  # offers: the differential suite re-checks kernel == naive, the
+  # incremental suite re-checks patch == fresh Compute, and the mechanisms
+  # suite re-checks the support-index resolver == its hash-set reference,
+  # all under -march=native. The radix sort (common/radix_sort.h) is
+  # shared by the 2-hop finalize and the support index, so the smoke run
+  # covers both of its callers.
   ctest --preset native-kernels
 fi
 

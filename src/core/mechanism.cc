@@ -1,6 +1,8 @@
 #include "core/mechanism.h"
 
-#include <unordered_set>
+#include <algorithm>
+
+#include "common/radix_sort.h"
 
 namespace privrec {
 namespace {
@@ -34,33 +36,56 @@ double RecommendationDistribution::ExpectedAccuracy(
   return expected / u_max;
 }
 
+SupportIndex::SupportIndex(const UtilityVector& utilities,
+                           std::vector<NodeId>& scratch) {
+  sorted_.reserve(utilities.nonzero().size());
+  for (const UtilityEntry& e : utilities.nonzero()) sorted_.push_back(e.node);
+  RadixSortKeys(sorted_, scratch);
+}
+
+SupportIndex::SupportIndex(const UtilityVector& utilities) {
+  std::vector<NodeId> scratch;
+  *this = SupportIndex(utilities, scratch);
+}
+
 Result<NodeId> ResolveZeroUtilityNode(const CsrGraph& graph,
                                       const UtilityVector& utilities,
+                                      const SupportIndex& support,
+                                      std::span<const NodeId> taken,
                                       Rng& rng) {
   if (utilities.num_zero() == 0) {
     return Status::FailedPrecondition("no zero-utility candidates");
   }
-  std::unordered_set<NodeId> support;
-  support.reserve(utilities.nonzero().size());
-  for (const UtilityEntry& e : utilities.nonzero()) support.insert(e.node);
   const NodeId target = utilities.target();
+  auto eligible = [&](NodeId v) {
+    return v != target && !graph.HasEdge(target, v) && !support.Contains(v) &&
+           std::find(taken.begin(), taken.end(), v) == taken.end();
+  };
   // Zero-utility candidates are a constant fraction of V in all realistic
-  // inputs, so rejection terminates fast; cap attempts for pathological
-  // graphs and fall back to a scan.
+  // inputs, so rejection terminates fast. Rejection over uniform draws
+  // conditioned on eligibility is uniform over the eligible set; so is the
+  // pool draw that caps pathological graphs (a tiny zero block), which
+  // keeps a single release uniform over the block rather than biased to
+  // its lowest id.
   for (int attempt = 0; attempt < 256; ++attempt) {
-    NodeId v = static_cast<NodeId>(rng.NextBounded(graph.num_nodes()));
-    if (v == target || graph.HasEdge(target, v) || support.count(v) > 0) {
-      continue;
-    }
-    return v;
+    const NodeId v = static_cast<NodeId>(rng.NextBounded(graph.num_nodes()));
+    if (eligible(v)) return v;
   }
+  std::vector<NodeId> pool;
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    if (v == target || graph.HasEdge(target, v) || support.count(v) > 0) {
-      continue;
-    }
-    return v;
+    if (eligible(v)) pool.push_back(v);
   }
-  return Status::Internal("zero-utility candidate bookkeeping mismatch");
+  if (pool.empty()) {
+    return Status::Internal("zero-utility candidate bookkeeping mismatch");
+  }
+  return pool[rng.NextBounded(pool.size())];
+}
+
+Result<NodeId> ResolveZeroUtilityNode(const CsrGraph& graph,
+                                      const UtilityVector& utilities,
+                                      Rng& rng) {
+  return ResolveZeroUtilityNode(graph, utilities, SupportIndex(utilities), {},
+                                rng);
 }
 
 }  // namespace privrec

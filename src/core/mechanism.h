@@ -1,8 +1,10 @@
 #ifndef PRIVREC_CORE_MECHANISM_H_
 #define PRIVREC_CORE_MECHANISM_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -129,9 +131,46 @@ class Mechanism {
   }
 };
 
+/// Node-sorted index of one utility vector's nonzero support: zero-block
+/// membership becomes an O(log s) binary search instead of an O(s) hash-set
+/// build per resolution. Built once per vector with the linear radix sort
+/// (common/radix_sort.h); 4 B per support entry. An index describes
+/// exactly the vector it was built from and must be rebuilt whenever that
+/// vector is replaced: a stale index would let a node that now has positive
+/// utility through as a uniform zero pick.
+class SupportIndex {
+ public:
+  /// Indexes `utilities`' support; `scratch` is the sort's buffer, so a
+  /// caller that rebuilds often can keep one and allocate only the index.
+  SupportIndex(const UtilityVector& utilities, std::vector<NodeId>& scratch);
+  explicit SupportIndex(const UtilityVector& utilities);
+
+  /// Whether `node` has nonzero utility in the indexed vector.
+  bool Contains(NodeId node) const {
+    return std::binary_search(sorted_.begin(), sorted_.end(), node);
+  }
+
+ private:
+  std::vector<NodeId> sorted_;
+};
+
 /// Uniformly samples a concrete zero-utility candidate id: a node that is
-/// not the target, not an out-neighbor of the target, and not in the
-/// nonzero support. Rejection sampling; FailedPrecondition if none exists.
+/// not the target, not an out-neighbor of the target, not in the nonzero
+/// support (`support` must index `utilities`), and not in `taken` — the
+/// picks a list already resolved, checked by a linear scan, so keep it
+/// short (≤ k). Rejection over uniform node draws, then, if 256 draws all
+/// miss, one uniform draw from the scanned eligible pool: uniform over the
+/// eligible set either way, for single picks and lists alike.
+/// FailedPrecondition if the zero block is empty; Internal if `taken`
+/// exhausted it.
+Result<NodeId> ResolveZeroUtilityNode(const CsrGraph& graph,
+                                      const UtilityVector& utilities,
+                                      const SupportIndex& support,
+                                      std::span<const NodeId> taken,
+                                      Rng& rng);
+
+/// Single-pick convenience: builds a throwaway SupportIndex. Callers that
+/// resolve repeatedly against one vector should keep the index instead.
 Result<NodeId> ResolveZeroUtilityNode(const CsrGraph& graph,
                                       const UtilityVector& utilities,
                                       Rng& rng);

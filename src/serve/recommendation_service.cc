@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -30,53 +29,6 @@ size_t ResolveShardCount(size_t requested) {
   // Clamp before rounding: RoundUpPow2 on a value above 2^63 would never
   // terminate.
   return RoundUpPow2(std::min<size_t>(n, 64));
-}
-
-/// Resolves a peeled list's zero-block sentinel picks to DISTINCT uniform
-/// zero-utility candidates of `view` — the contract TopKResult documents
-/// but defers to the release path. The resolution is part of the privacy
-/// argument, not cosmetics: a released sentinel says "this slot's utility
-/// is exactly 0", an outcome with probability 0 on the side of a
-/// neighboring pair where that candidate's utility is positive — an
-/// infinite probability ratio. (The node-DP audit certified exactly that
-/// before lists were resolved; single serves always resolved.) Uniform
-/// without-replacement resolution makes zero picks exchangeable with
-/// positive picks, restoring the peeling mechanism's e^ε bound.
-Status ResolveZeroPicks(const CsrGraph& view, const UtilityVector& utilities,
-                        TopKResult& result, Rng& rng) {
-  std::unordered_set<NodeId> excluded;
-  excluded.reserve(utilities.nonzero().size() + result.picks.size());
-  for (const UtilityEntry& e : utilities.nonzero()) excluded.insert(e.node);
-  const NodeId target = utilities.target();
-  auto eligible = [&](NodeId v) {
-    return v != target && !view.HasEdge(target, v) && excluded.count(v) == 0;
-  };
-  for (Recommendation& pick : result.picks) {
-    if (!pick.from_zero_block) continue;
-    NodeId resolved = kUnresolvedZeroNode;
-    // Rejection over uniform node draws conditioned on eligibility is
-    // uniform over the remaining zero block; the peeling never draws the
-    // zero slot more often than the block has members, so the scan
-    // fallback below always finds one.
-    for (int attempt = 0; attempt < 256 && resolved == kUnresolvedZeroNode;
-         ++attempt) {
-      const NodeId v = static_cast<NodeId>(rng.NextBounded(view.num_nodes()));
-      if (eligible(v)) resolved = v;
-    }
-    if (resolved == kUnresolvedZeroNode) {
-      std::vector<NodeId> pool;
-      for (NodeId v = 0; v < view.num_nodes(); ++v) {
-        if (eligible(v)) pool.push_back(v);
-      }
-      if (pool.empty()) {
-        return Status::Internal("zero-utility list bookkeeping mismatch");
-      }
-      resolved = pool[rng.NextBounded(pool.size())];
-    }
-    pick.node = resolved;
-    excluded.insert(resolved);
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -370,9 +322,10 @@ void RecommendationService::RepairEntryLocked(
         // O(Δ) patch, exactly equal to a fresh Compute; the vector changed,
         // so the frozen sampler dies and the calibration re-anchors at the
         // snapshot the repaired vector now reflects.
-        entry.utilities = utility_->ApplyEdgeDelta(
-            *snap.graph, window.front(), user, entry.utilities,
-            shard.workspace);
+        entry = CacheEntry(
+            utility_->ApplyEdgeDelta(*snap.graph, window.front(), user,
+                                     entry.utilities, shard.workspace),
+            snap.version, entry.last_used, sensitivity, shard.index_scratch);
         ++shard.stats.cache_hits;
         ++shard.stats.delta_patched;
       } else if (utility_->SupportsIncrementalBatch() &&
@@ -381,8 +334,10 @@ void RecommendationService::RepairEntryLocked(
         // one pass against the post-window snapshot (ApplyEdgeDeltaBatch
         // honors the same exact-equality contract) — cheaper than a
         // recompute as long as the window stays narrow.
-        entry.utilities = utility_->ApplyEdgeDeltaBatch(
-            *snap.graph, window, user, entry.utilities, shard.workspace);
+        entry = CacheEntry(
+            utility_->ApplyEdgeDeltaBatch(*snap.graph, window, user,
+                                          entry.utilities, shard.workspace),
+            snap.version, entry.last_used, sensitivity, shard.index_scratch);
         ++shard.stats.cache_hits;
         ++shard.stats.delta_patched;
       } else {
@@ -390,16 +345,14 @@ void RecommendationService::RepairEntryLocked(
         // but not windows — or a window past the patch/recompute
         // crossover (max_patch_window) — recomputes, still touching no
         // other entry.
-        entry.utilities = utility_->Compute(*snap.graph, user, shard.workspace);
+        entry = CacheEntry(
+            utility_->Compute(*snap.graph, user, shard.workspace),
+            snap.version, entry.last_used, sensitivity, shard.index_scratch);
         ++shard.stats.cache_misses;
         ++shard.stats.delta_recomputed;
       }
       shard.stats.repair_ns +=
           static_cast<uint64_t>(repair_watch.ElapsedSeconds() * 1e9);
-      entry.version = snap.version;
-      entry.calibration_sensitivity = sensitivity;
-      entry.sampler.reset();
-      entry.sampler_sensitivity = 0;
       return;
     }
     ++shard.stats.journal_fallbacks;
@@ -408,11 +361,9 @@ void RecommendationService::RepairEntryLocked(
   // Baseline path: the pre-incremental design would have erased this entry
   // at mutation time; recompute it in place now (against the serving view:
   // raw under kEdge, projected under kNode).
-  entry.utilities = utility_->Compute(ServingView(snap), user, shard.workspace);
-  entry.version = snap.version;
-  entry.calibration_sensitivity = sensitivity;
-  entry.sampler.reset();
-  entry.sampler_sensitivity = 0;
+  entry = CacheEntry(
+      utility_->Compute(ServingView(snap), user, shard.workspace),
+      snap.version, entry.last_used, sensitivity, shard.index_scratch);
   ++shard.stats.cache_misses;
   ++shard.stats.cache_invalidations;
   if (forced_fallback) ++shard.stats.stale_fallback_serves;
@@ -428,12 +379,9 @@ RecommendationService::GetEntryLocked(
     ++shard.stats.cache_misses;
     // Shared snapshot (no copy) + per-shard workspace: a cache miss costs
     // only the utility traversal, not an O(n + m) graph materialization.
-    CacheEntry entry{utility_->Compute(ServingView(snap), user, shard.workspace),
-                     snap.version,
-                     shard.clock,
-                     sensitivity,
-                     std::nullopt,
-                     0.0};
+    CacheEntry entry(
+        utility_->Compute(ServingView(snap), user, shard.workspace),
+        snap.version, shard.clock, sensitivity, shard.index_scratch);
     EvictIfNeededLocked(shard);
     auto [inserted, ok] = shard.cache.emplace(user, std::move(entry));
     PRIVREC_CHECK(ok);
@@ -566,7 +514,8 @@ Result<NodeId> RecommendationService::ServeLocked(Shard& shard, NodeId user,
   const Recommendation rec =
       degraded ? degraded_sampler->Draw(rng) : entry->sampler->Draw(rng);
   if (!rec.from_zero_block) return rec.node;
-  return ResolveZeroUtilityNode(ServingView(snap), entry->utilities, rng);
+  return ResolveZeroUtilityNode(ServingView(snap), entry->utilities,
+                                entry->support, {}, rng);
 }
 
 Result<TopKResult> RecommendationService::ServeListLocked(Shard& shard,
@@ -649,10 +598,24 @@ Result<TopKResult> RecommendationService::ServeListLocked(Shard& shard,
   auto result = PeelingExponentialTopK(entry->utilities, k, charge_eps,
                                        entry->calibration_sensitivity, rng);
   if (result.ok()) {
-    // Resolve zero-block picks to concrete distinct candidates — released
-    // sentinels would leak "utility exactly 0" (see ResolveZeroPicks).
-    PRIVREC_RETURN_NOT_OK(
-        ResolveZeroPicks(view, entry->utilities, *result, rng));
+    // Resolve zero-block picks to DISTINCT uniform zero-utility candidates
+    // of `view` — the contract TopKResult documents but defers to the
+    // release path. The resolution is part of the privacy argument, not
+    // cosmetics: a released sentinel says "this slot's utility is exactly
+    // 0", an outcome with probability 0 on the side of a neighboring pair
+    // where that candidate's utility is positive — an infinite probability
+    // ratio. Uniform without-replacement resolution makes zero picks
+    // exchangeable with positive picks, restoring the peeling mechanism's
+    // e^ε bound. The peeling never draws the zero slot more often than the
+    // block has members, so a pick always remains.
+    std::vector<NodeId> taken;
+    for (Recommendation& pick : result->picks) {
+      if (!pick.from_zero_block) continue;
+      PRIVREC_ASSIGN_OR_RETURN(
+          pick.node, ResolveZeroUtilityNode(view, entry->utilities,
+                                            entry->support, taken, rng));
+      taken.push_back(pick.node);
+    }
     if (charge_budget) {
       ++shard.stats.served;
       if (degraded) ++shard.stats.degraded_serves;

@@ -178,11 +178,12 @@ struct ServiceStats {
   /// doing its job (most writes miss most targets' neighborhoods).
   uint64_t filter_dropped_deltas = 0;
   /// Wall time spent inside affected-entry repairs (the affect filter plus
-  /// the patch or recompute that follows it; delta_patched +
-  /// delta_recomputed events). Keeps the repair path's cost observable
-  /// without timing every serve: kept entries and sampler work are
-  /// excluded, so repair_ns / (delta_patched + delta_recomputed) is the
-  /// average price of a repair under the current traffic.
+  /// the patch or recompute that follows it, support-index rebuild
+  /// included; delta_patched + delta_recomputed events). Keeps the repair
+  /// path's cost observable without timing every serve: kept entries and
+  /// sampler work are excluded, so repair_ns / (delta_patched +
+  /// delta_recomputed) is the average price of a repair under the current
+  /// traffic.
   uint64_t repair_ns = 0;
   /// Serves refused because the user's current budget WINDOW was
   /// exhausted while the lifetime budget still had room
@@ -250,8 +251,9 @@ struct ServiceStats {
 ///  - unaffected by every drained delta (checked per delta against the
 ///    post-batch snapshot, via the utility's own EdgeDeltaAffects test —
 ///    Jaccard widens the structural rule by the cached support) → kept
-///    wholesale, frozen sampler included: a cache-hit serve after an
-///    unrelated toggle stays one O(1) alias draw;
+///    wholesale, frozen sampler and support index included: a cache-hit
+///    serve after an unrelated toggle stays one O(1) alias draw plus, for
+///    a zero-block pick, one O(log s) resolution (see Fast path);
 ///  - affected by one delta → patched via UtilityFunction::ApplyEdgeDelta;
 ///    affected by a multi-delta window → patched in ONE pass against the
 ///    post-window snapshot via ApplyEdgeDeltaBatch (both O(Δ), both under
@@ -282,8 +284,14 @@ struct ServiceStats {
 ///
 /// Fast path: the service never copies the graph — it rides the
 /// DynamicGraph's RCU snapshot (lock-free atomic load when unmutated) —
-/// and each cache entry carries a frozen RecommendationSampler, so a
-/// cache-hit single recommendation is one O(1) alias-table draw. The
+/// and each cache entry carries a frozen RecommendationSampler plus a
+/// node-sorted SupportIndex, so a cache-hit single recommendation is one
+/// O(1) alias-table draw and, when the draw lands in the zero-utility
+/// block (95-99% of picks on a sparse social graph), an O(log s)
+/// binary-search resolution over the target's support of size s. The
+/// index is built once per vector version, at 4 B per support entry, so
+/// a hit's cost no longer grows linearly with the target's 2-hop
+/// neighbourhood (serve latency is itself a side channel). The
 /// sampler is rebuilt from the cached utilities only when the utility's
 /// sensitivity drifted since it was frozen (a mutation elsewhere in the
 /// graph can change the global Δf without touching this user's vector).
@@ -387,7 +395,25 @@ class RecommendationService {
 
  private:
   struct CacheEntry {
+    /// A fresh entry for `utilities` at graph `version`, calibrated at
+    /// `sensitivity`, with no sampler frozen yet. The only place a support
+    /// index is built: every route that replaces a cached vector (miss,
+    /// single-delta patch, window patch, recompute, journal fallback, the
+    /// kNode per-version recompute) assigns a newly constructed entry, so
+    /// `support` always indexes `utilities`; a kept entry keeps both.
+    /// `scratch` is the index sort's buffer.
+    CacheEntry(UtilityVector vec, uint64_t version, uint64_t last_used,
+               double sensitivity, std::vector<NodeId>& scratch)
+        : utilities(std::move(vec)),
+          support(utilities, scratch),
+          version(version),
+          last_used(last_used),
+          calibration_sensitivity(sensitivity) {}
+
     UtilityVector utilities;
+    /// Node-sorted support of `utilities`: zero-block resolution is a
+    /// binary search (core/mechanism.h), 4 B per support entry.
+    SupportIndex support;
     /// Graph version `utilities` reflects (a snapshot stamp). A lagging
     /// stamp triggers journal repair on the next visit.
     uint64_t version = 0;
@@ -416,6 +442,8 @@ class RecommendationService {
     /// shard-local like the workspace, so steady-state repairs allocate
     /// nothing.
     std::vector<EdgeDelta> filtered;
+    /// Radix-sort buffer for CacheEntry's support index (same reasoning).
+    std::vector<NodeId> index_scratch;
     /// The shard's private randomness stream (Rng-less overloads).
     Rng rng;
     uint64_t clock = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/radix_sort.h"
 #include "graph/traversal.h"
 
 namespace privrec {
@@ -136,41 +137,6 @@ double BlockedWeightedSum(const CsrGraph& graph, std::span<const NodeId> a,
     j += (b_max <= a_max) ? kBlock : 0;
   }
   return sum + LinearWeightedSum(graph, a, b, weight, i, j);
-}
-
-/// LSD byte-radix sort, ascending. Branch-free scatter passes (no
-/// per-element comparisons, so none of the mispredict cost a comparison
-/// sort pays on tie-heavy keys); byte positions all keys agree on are
-/// skipped, so a (count << 32 | node) key set on an n-node graph costs
-/// ~ceil(log256(n)) + ceil(log256(max_count)) passes.
-void RadixSortKeys(std::vector<uint64_t>& keys, std::vector<uint64_t>& tmp) {
-  const size_t n = keys.size();
-  if (n < 2) return;
-  // One histogram pass for all 8 byte positions (the distribution is
-  // permutation-invariant, so the histograms stay valid across passes).
-  uint32_t hist[8][256] = {};
-  for (const uint64_t key : keys) {
-    for (int b = 0; b < 8; ++b) ++hist[b][(key >> (8 * b)) & 0xff];
-  }
-  if (tmp.size() < n) tmp.resize(n);
-  uint64_t* src = keys.data();
-  uint64_t* dst = tmp.data();
-  for (int b = 0; b < 8; ++b) {
-    // Skip bytes every key shares (one full bucket): the pass would be a
-    // plain copy.
-    if (hist[b][(src[0] >> (8 * b)) & 0xff] == n) continue;
-    uint32_t pos[256];
-    uint32_t run = 0;
-    for (int i = 0; i < 256; ++i) {
-      pos[i] = run;
-      run += hist[b][i];
-    }
-    for (size_t i = 0; i < n; ++i) {
-      dst[pos[(src[i] >> (8 * b)) & 0xff]++] = src[i];
-    }
-    std::swap(src, dst);
-  }
-  if (src != keys.data()) std::copy(src, src + n, keys.data());
 }
 
 }  // namespace

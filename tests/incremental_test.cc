@@ -879,6 +879,134 @@ TEST(IncrementalServiceTest, DeltaModeServesIdenticallyToBaseline) {
   EXPECT_GT(delta_stats.cache_hits, baseline_stats.cache_hits);
 }
 
+/// One graph plus the service over it, for multi-service differentials.
+struct ServiceReplica {
+  ServiceReplica(const CsrGraph& base, const ServiceOptions& options)
+      : graph(base),
+        service(&graph, std::make_unique<CommonNeighborsUtility>(), options) {}
+  DynamicGraph graph;
+  RecommendationService service;
+};
+
+TEST(IncrementalServiceTest, EveryRepairRouteServesIdenticallyToBaseline) {
+  // Sibling of DeltaModeServesIdenticallyToBaseline that drives EVERY
+  // route replacing a cached vector — single-delta and window patches,
+  // recomputes past max_patch_window, journal fallbacks after compaction
+  // and after AddNode — and still serves byte-identically to the
+  // recompute-everything baseline. Each replacement must rebuild the
+  // entry's support index: a stale index lets a node whose utility turned
+  // positive through as a uniform zero pick (or rejects one whose utility
+  // dropped to zero), which moves the resolver's accept/reject decisions
+  // off the baseline's for as long as the entry lives.
+  Rng graph_rng(51);
+  auto weights = PowerLawWeights(200, 2.2);
+  auto base = ChungLu(weights, weights, 900, /*directed=*/false, graph_rng);
+  ASSERT_TRUE(base.ok());
+  ServiceOptions windowed_options = IncrementalServiceOptions(true);
+  windowed_options.max_patch_window = 2;
+  // Same service, but every multi-delta window recomputes: the difference
+  // in delta_patched between the two is exactly the window patches.
+  ServiceOptions narrow_options = windowed_options;
+  narrow_options.max_patch_window = 1;
+  ServiceReplica windowed(*base, windowed_options);
+  ServiceReplica narrow(*base, narrow_options);
+  ServiceReplica baseline(*base, IncrementalServiceOptions(false));
+  windowed.graph.SetJournalCapacity(24);
+  narrow.graph.SetJournalCapacity(24);
+  ServiceReplica* const replicas[] = {&windowed, &narrow, &baseline};
+
+  // A small hot set is served often enough to lag a few relevant deltas
+  // (patch routes) and toggled often enough to also lag many (recompute,
+  // compaction fallback); the rest of the users mostly fall back. The hot
+  // users are the 16 lowest-weight nodes: their small supports leave large
+  // zero blocks, so most of their picks go through the support index.
+  constexpr NodeId kHot = 16;
+  constexpr NodeId kFirstHot = 200 - kHot;
+  Rng ops_rng(57);
+  auto pick_user = [&](double hot_share, NodeId n) {
+    return static_cast<NodeId>(ops_rng.NextBernoulli(hot_share)
+                                   ? kFirstHot + ops_rng.NextBounded(kHot)
+                                   : ops_rng.NextBounded(n));
+  };
+  auto toggle = [&](NodeId u, NodeId v) {
+    if (u == v) return;
+    const bool remove = windowed.graph.HasEdge(u, v);
+    for (ServiceReplica* r : replicas) {
+      ASSERT_TRUE(remove ? r->service.RemoveEdge(u, v).ok()
+                         : r->service.AddEdge(u, v).ok());
+    }
+  };
+  auto serve = [&](NodeId user, int op) {
+    if (ops_rng.NextBernoulli(0.2)) {
+      auto expected = windowed.service.ServeList(user, 3);
+      for (ServiceReplica* r : {&narrow, &baseline}) {
+        auto list = r->service.ServeList(user, 3);
+        ASSERT_EQ(list.ok(), expected.ok()) << "op " << op;
+        if (!list.ok()) continue;
+        ASSERT_EQ(list->picks.size(), expected->picks.size());
+        for (size_t p = 0; p < list->picks.size(); ++p) {
+          ASSERT_EQ(list->picks[p].node, expected->picks[p].node)
+              << "op " << op << " pick " << p;
+        }
+      }
+      return;
+    }
+    auto expected = windowed.service.ServeRecommendation(user);
+    for (ServiceReplica* r : {&narrow, &baseline}) {
+      auto rec = r->service.ServeRecommendation(user);
+      ASSERT_EQ(rec.ok(), expected.ok()) << "op " << op;
+      if (rec.ok()) {
+        ASSERT_EQ(*rec, *expected) << "op " << op;
+      }
+    }
+  };
+  auto run_ops = [&](int first, int last) {
+    for (int op = first; op < last; ++op) {
+      const NodeId n = windowed.graph.num_nodes();
+      if (ops_rng.NextBernoulli(0.15)) {
+        // A burst of 1-4 toggles, half of them on a hot user's edges.
+        const uint64_t burst = 1 + ops_rng.NextBounded(4);
+        for (uint64_t b = 0; b < burst; ++b) {
+          const NodeId u = pick_user(0.5, n);
+          toggle(u, static_cast<NodeId>(ops_rng.NextBounded(n)));
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+        continue;
+      }
+      serve(pick_user(0.7, n), op);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  };
+
+  run_ops(0, 1500);
+  ASSERT_FALSE(HasFatalFailure());
+  const ServiceStats mid = windowed.service.stats();
+  const ServiceStats mid_narrow = narrow.service.stats();
+  EXPECT_GT(mid.delta_kept, 0u);
+  EXPECT_GT(mid.delta_patched, 0u);
+  EXPECT_GT(mid.delta_patched, mid_narrow.delta_patched)
+      << "no window patch ran";
+  EXPECT_GT(mid.delta_recomputed, 0u) << "no window passed max_patch_window";
+  EXPECT_GT(mid.journal_fallbacks, 0u) << "the journal never compacted";
+
+  // AddNode clears the journal: the next visit of a cached hot user falls
+  // back, on both delta services.
+  for (ServiceReplica* r : replicas) r->graph.AddNode();
+  serve(kFirstHot, 1500);
+  ASSERT_FALSE(HasFatalFailure());
+  EXPECT_EQ(windowed.service.stats().journal_fallbacks,
+            mid.journal_fallbacks + 1);
+  EXPECT_EQ(narrow.service.stats().journal_fallbacks,
+            mid_narrow.journal_fallbacks + 1);
+  run_ops(1501, 2000);
+  ASSERT_FALSE(HasFatalFailure());
+
+  const uint64_t served = baseline.service.stats().served;
+  EXPECT_GT(served, 1000u);
+  EXPECT_EQ(windowed.service.stats().served, served);
+  EXPECT_EQ(narrow.service.stats().served, served);
+}
+
 TEST(IncrementalServiceTest, CompactedJournalFallsBackAndKeepsServing) {
   Rng graph_rng(61);
   auto base = ErdosRenyiGnm(60, 180, /*directed=*/false, graph_rng);

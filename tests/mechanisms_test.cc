@@ -1,7 +1,10 @@
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "core/baseline_mechanisms.h"
 #include "core/closed_forms.h"
@@ -11,6 +14,8 @@
 #include "core/mechanism.h"
 #include "eval/accuracy.h"
 #include "gen/fixtures.h"
+#include "gen/generators.h"
+#include "graph/graph_builder.h"
 #include "gtest/gtest.h"
 #include "random/distributions.h"
 #include "random/rng.h"
@@ -498,6 +503,144 @@ TEST(ResolveZeroNodeTest, FailsWhenNoZeroCandidates) {
   Rng rng(31);
   EXPECT_TRUE(ResolveZeroUtilityNode(g, u, rng).status()
                   .IsFailedPrecondition());
+}
+
+/// Target 0 linked to hub 1, which links every node from 2 + num_zero on:
+/// nodes 2 .. 1 + num_zero are the target's only zero-utility candidates
+/// (isolated), and every other candidate shares the hub with it.
+CsrGraph MakeHubFixture(NodeId n, NodeId num_zero) {
+  GraphBuilder builder(/*directed=*/false);
+  builder.SetNumNodes(n);
+  builder.AddEdge(0, 1);
+  for (NodeId v = 2 + num_zero; v < n; ++v) builder.AddEdge(1, v);
+  return builder.Build();
+}
+
+TEST(ResolveZeroNodeTest, FallbackIsUniformOverATinyZeroBlock) {
+  // Two zero candidates among 5,000 nodes: all 256 rejection draws miss
+  // with probability (1 - 2/5000)^256 ≈ 0.90, so the fallback decides most
+  // resolutions. It must stay uniform over the block: a lowest-id scan
+  // gives node 2 about 95% of releases, and a neighbouring graph that
+  // moves node 2 out of the block changes that probability by far more
+  // than e^ε.
+  const CsrGraph g = MakeHubFixture(5000, 2);
+  CommonNeighborsUtility cn;
+  const UtilityVector u = cn.Compute(g, 0);
+  ASSERT_EQ(u.num_zero(), 2u);
+  constexpr int kResolves = 2000;
+  // 5 binomial standard deviations of Bin(2000, 1/2) (sd ≈ 22.4): a
+  // uniform resolver leaves this band with probability below 1e-6.
+  constexpr int kBound = 112;
+  Rng rng(37);
+  int lower = 0;
+  for (int i = 0; i < kResolves; ++i) {
+    auto node = ResolveZeroUtilityNode(g, u, rng);
+    ASSERT_TRUE(node.ok());
+    ASSERT_TRUE(*node == 2 || *node == 3) << *node;
+    lower += (*node == 2);
+  }
+  // Node 3 takes every other resolution, so this bounds both shares.
+  EXPECT_NEAR(lower, kResolves / 2, kBound);
+}
+
+/// The hash-set resolver the support index replaced, kept as the
+/// differential reference: `excluded` holds the support plus every pick
+/// resolved so far; rejection over uniform node draws, then one uniform
+/// draw from the scanned eligible pool.
+NodeId HashSetReferenceResolve(const CsrGraph& graph,
+                               const UtilityVector& utilities,
+                               std::unordered_set<NodeId>& excluded,
+                               Rng& rng) {
+  const NodeId target = utilities.target();
+  auto eligible = [&](NodeId v) {
+    return v != target && !graph.HasEdge(target, v) && excluded.count(v) == 0;
+  };
+  NodeId resolved = kUnresolvedZeroNode;
+  for (int attempt = 0; attempt < 256 && resolved == kUnresolvedZeroNode;
+       ++attempt) {
+    const NodeId v = static_cast<NodeId>(rng.NextBounded(graph.num_nodes()));
+    if (eligible(v)) resolved = v;
+  }
+  if (resolved == kUnresolvedZeroNode) {
+    std::vector<NodeId> pool;
+    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+      if (eligible(v)) pool.push_back(v);
+    }
+    if (pool.empty()) return kUnresolvedZeroNode;
+    resolved = pool[rng.NextBounded(pool.size())];
+  }
+  excluded.insert(resolved);
+  return resolved;
+}
+
+/// Resolves up to `k` distinct zero picks on (graph, target) with both
+/// resolvers from one seed and asserts identical node sequences and
+/// identical RNG consumption.
+void ExpectResolversAgree(const CsrGraph& graph, NodeId target, size_t k,
+                          uint64_t seed) {
+  CommonNeighborsUtility cn;
+  const UtilityVector u = cn.Compute(graph, target);
+  if (u.num_zero() == 0) return;
+  const SupportIndex index(u);
+  std::unordered_set<NodeId> excluded;
+  for (const UtilityEntry& e : u.nonzero()) excluded.insert(e.node);
+  Rng ref_rng(seed);
+  Rng rng(seed);
+  std::vector<NodeId> taken;
+  const size_t picks = std::min<uint64_t>(k, u.num_zero());
+  for (size_t p = 0; p < picks; ++p) {
+    const NodeId expected = HashSetReferenceResolve(graph, u, excluded,
+                                                    ref_rng);
+    auto node = k == 1 ? ResolveZeroUtilityNode(graph, u, rng)
+                       : ResolveZeroUtilityNode(graph, u, index, taken, rng);
+    ASSERT_TRUE(node.ok()) << node.status().ToString();
+    ASSERT_EQ(*node, expected) << "target " << target << " seed " << seed
+                               << " pick " << p;
+    taken.push_back(*node);
+  }
+  // Same accept/reject decisions => same number of draws consumed.
+  EXPECT_EQ(rng.NextUint64(), ref_rng.NextUint64()) << "target " << target;
+}
+
+TEST(ResolveZeroNodeTest, IndexResolverMatchesHashSetReference) {
+  Rng setup(41);
+  for (const bool directed : {false, true}) {
+    for (const NodeId n : {300u, 2000u}) {
+      const auto weights = PowerLawWeights(n, 2.1);
+      auto g = ChungLu(weights, weights, 6ull * n, directed, setup);
+      ASSERT_TRUE(g.ok());
+      for (int t = 0; t < 25; ++t) {
+        const NodeId target = static_cast<NodeId>(setup.NextBounded(n));
+        const uint64_t seed = setup.NextUint64();
+        ExpectResolversAgree(*g, target, 1, seed);
+        ExpectResolversAgree(*g, target, 10, seed);
+      }
+    }
+  }
+  // Tiny zero blocks route most resolutions through the pool fallback,
+  // and ten prior picks shrink the pool as the list fills.
+  for (const NodeId num_zero : {1u, 2u, 12u}) {
+    const CsrGraph g = MakeHubFixture(5000, num_zero);
+    for (uint64_t seed = 0; seed < 8; ++seed) {
+      ExpectResolversAgree(g, 0, 1, seed);
+      ExpectResolversAgree(g, 0, 10, seed);
+    }
+  }
+}
+
+TEST(ResolveZeroNodeTest, ListResolutionFailsOnlyWhenTakenExhaustsTheBlock) {
+  const CsrGraph g = MakeHubFixture(50, 2);
+  CommonNeighborsUtility cn;
+  const UtilityVector u = cn.Compute(g, 0);
+  const SupportIndex index(u);
+  Rng rng(43);
+  const std::vector<NodeId> one = {2};
+  auto node = ResolveZeroUtilityNode(g, u, index, one, rng);
+  ASSERT_TRUE(node.ok());
+  EXPECT_EQ(*node, 3u);
+  const std::vector<NodeId> both = {2, 3};
+  EXPECT_TRUE(
+      ResolveZeroUtilityNode(g, u, index, both, rng).status().IsInternal());
 }
 
 }  // namespace

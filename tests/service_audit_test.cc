@@ -731,10 +731,10 @@ TEST(NodeDpAuditTest, HonestNodeListServiceHonorsEpsilon) {
   ASSERT_EQ(audit->per_path.size(), 4u);
   for (const PathEpsilonEstimate& estimate : audit->per_path) {
     // This assertion is the regression pin for the zero-block fix in
-    // ServeListLocked (ResolveZeroPicks): releasing unresolved
-    // zero-utility sentinels made exactly this reduction certify an
-    // infinite-ratio distinguisher on node pairs, because the rewiring
-    // moves candidate utilities across zero.
+    // ServeListLocked (each pick resolved by ResolveZeroUtilityNode):
+    // releasing unresolved zero-utility sentinels made exactly this
+    // reduction certify an infinite-ratio distinguisher on node pairs,
+    // because the rewiring moves candidate utilities across zero.
     EXPECT_LE(estimate.epsilon_lower_bound, options.release_epsilon)
         << estimate.path << ": honest node-DP list release certified a "
                             "violation (zero-block sentinel leak?)";
