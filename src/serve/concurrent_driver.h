@@ -60,8 +60,8 @@ struct ConcurrentDriverReport {
 /// throughput. Workers start behind a barrier (see RunWorkers) so
 /// wall-clock throughput is honest, draw their request streams from
 /// independent splittable seeds, and use the service's thread-safe
-/// Rng-less overloads. This is the parallel-scaling benchmark harness and
-/// the engine under the concurrency stress tests.
+/// Rng-less overloads. This is the engine under the concurrency stress
+/// tests.
 ConcurrentDriverReport RunConcurrentDriver(
     RecommendationService& service, DynamicGraph& graph,
     const ConcurrentDriverOptions& options);

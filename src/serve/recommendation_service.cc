@@ -129,35 +129,48 @@ const DynamicGraph::StampedSnapshot& RecommendationService::PinnedSnapshotLocked
 
 void RecommendationService::EvictIfNeededLocked(Shard& shard) {
   if (shard.cache.size() < per_shard_capacity_) return;
+  // Runs on nearly every miss once the cache is full (a uniform workload
+  // over a graph much larger than the cache), so both passes below read
+  // only the shard's contiguous slots (32 B each, 16 KB at 512 slots),
+  // never the entries' cold heap allocations. The entry stays behind a
+  // pointer: stored by value, every slot would be as large as the entry,
+  // and the scan would again walk that much memory. Erasing moves the
+  // last slot into the hole, so slots stay dense.
+  const auto erase_slot = [&shard](size_t i) {
+    shard.slot_of.erase(shard.cache[i].user);
+    if (i + 1 != shard.cache.size()) {
+      shard.cache[i] = std::move(shard.cache.back());
+      shard.slot_of[shard.cache[i].user] = static_cast<uint32_t>(i);
+    }
+    shard.cache.pop_back();
+  };
   // Journal-aware eviction: entries whose version fell behind the journal
   // floor can never be delta-repaired — their next visit would be a full
   // recompute counted as a journal_fallback. Purging ALL of them first
   // (they cost a recompute whether evicted or not) keeps capacity for
   // repairable entries and turns would-be fallbacks into plain misses, so
   // journal_fallbacks stays a signal of journal undersizing rather than
-  // of cache pressure. One pass, same cost as the LRU scan.
+  // of cache pressure.
   const uint64_t floor = graph_->journal_floor_version();
-  uint64_t doomed = 0;
-  for (auto it = shard.cache.begin(); it != shard.cache.end();) {
-    if (it->second.version < floor) {
-      it = shard.cache.erase(it);
-      ++doomed;
+  const size_t cached = shard.cache.size();
+  for (size_t i = 0; i < shard.cache.size();) {
+    if (shard.cache[i].version < floor) {
+      erase_slot(i);  // slot i now holds the former last slot
     } else {
-      ++it;
+      ++i;
     }
   }
-  if (doomed > 0) {
-    shard.stats.doomed_evictions += doomed;
+  if (shard.cache.size() < cached) {
+    shard.stats.doomed_evictions += cached - shard.cache.size();
     return;
   }
   // Every entry is still repairable: evict the least recently used one
-  // (linear scan: per-shard capacity is modest and eviction rare; a heap
-  // would be noise here).
-  auto victim = shard.cache.begin();
-  for (auto it = shard.cache.begin(); it != shard.cache.end(); ++it) {
-    if (it->second.last_used < victim->second.last_used) victim = it;
+  // (last_used values are unique, so the victim is too).
+  size_t victim = 0;
+  for (size_t i = 1; i < shard.cache.size(); ++i) {
+    if (shard.cache[i].last_used < shard.cache[victim].last_used) victim = i;
   }
-  shard.cache.erase(victim);
+  erase_slot(victim);
 }
 
 Status RecommendationService::InjectServeFaultsLocked(Shard& shard) {
@@ -244,7 +257,7 @@ PrivacyAccountant& RecommendationService::AccountantForLocked(Shard& shard,
 
 void RecommendationService::RepairEntryLocked(
     Shard& shard, NodeId user, const DynamicGraph::StampedSnapshot& snap,
-    double sensitivity, CacheEntry& entry) {
+    double sensitivity, uint64_t version, CacheEntry& entry) {
   // Journal repair is an EDGE-model tool: the journal records raw-graph
   // toggles, but under kNode the serve path reads the projected view, and
   // a raw delta (u,v) can evict a third arc (u,w) from u's capped prefix —
@@ -268,7 +281,7 @@ void RecommendationService::RepairEntryLocked(
     attempt_repair = false;
   }
   if (attempt_repair) {
-    auto deltas = graph_->EdgeDeltasBetween(entry.version, snap.version);
+    auto deltas = graph_->EdgeDeltasBetween(version, snap.version);
     if (deltas.ok()) {
       // Membership against the post-batch snapshot is exact as long as the
       // whole window is tested together (see EdgeDeltaAffectsTarget); the
@@ -282,7 +295,6 @@ void RecommendationService::RepairEntryLocked(
         // caller's calibration ratchet.
         ++shard.stats.cache_hits;
         ++shard.stats.delta_kept;
-        entry.version = snap.version;
         entry.calibration_sensitivity =
             std::max(entry.calibration_sensitivity, sensitivity);
         return;
@@ -312,7 +324,6 @@ void RecommendationService::RepairEntryLocked(
           // dropped delta provably leaves this vector unchanged.
           ++shard.stats.cache_hits;
           ++shard.stats.delta_kept;
-          entry.version = snap.version;
           entry.calibration_sensitivity =
               std::max(entry.calibration_sensitivity, sensitivity);
           return;
@@ -325,7 +336,7 @@ void RecommendationService::RepairEntryLocked(
         entry = CacheEntry(
             utility_->ApplyEdgeDelta(*snap.graph, window.front(), user,
                                      entry.utilities, shard.workspace),
-            snap.version, entry.last_used, sensitivity, shard.index_scratch);
+            sensitivity, shard.index_scratch);
         ++shard.stats.cache_hits;
         ++shard.stats.delta_patched;
       } else if (utility_->SupportsIncrementalBatch() &&
@@ -337,7 +348,7 @@ void RecommendationService::RepairEntryLocked(
         entry = CacheEntry(
             utility_->ApplyEdgeDeltaBatch(*snap.graph, window, user,
                                           entry.utilities, shard.workspace),
-            snap.version, entry.last_used, sensitivity, shard.index_scratch);
+            sensitivity, shard.index_scratch);
         ++shard.stats.cache_hits;
         ++shard.stats.delta_patched;
       } else {
@@ -347,7 +358,7 @@ void RecommendationService::RepairEntryLocked(
         // other entry.
         entry = CacheEntry(
             utility_->Compute(*snap.graph, user, shard.workspace),
-            snap.version, entry.last_used, sensitivity, shard.index_scratch);
+            sensitivity, shard.index_scratch);
         ++shard.stats.cache_misses;
         ++shard.stats.delta_recomputed;
       }
@@ -363,7 +374,7 @@ void RecommendationService::RepairEntryLocked(
   // raw under kEdge, projected under kNode).
   entry = CacheEntry(
       utility_->Compute(ServingView(snap), user, shard.workspace),
-      snap.version, entry.last_used, sensitivity, shard.index_scratch);
+      sensitivity, shard.index_scratch);
   ++shard.stats.cache_misses;
   ++shard.stats.cache_invalidations;
   if (forced_fallback) ++shard.stats.stale_fallback_serves;
@@ -374,31 +385,40 @@ RecommendationService::GetEntryLocked(
     Shard& shard, NodeId user, const DynamicGraph::StampedSnapshot& snap,
     double sensitivity, bool need_sampler) {
   ++shard.clock;
-  auto it = shard.cache.find(user);
-  if (it == shard.cache.end()) {
+  CacheEntry* found = nullptr;
+  auto it = shard.slot_of.find(user);
+  if (it == shard.slot_of.end()) {
     ++shard.stats.cache_misses;
     // Shared snapshot (no copy) + per-shard workspace: a cache miss costs
     // only the utility traversal, not an O(n + m) graph materialization.
-    CacheEntry entry(
+    auto fresh = std::make_unique<CacheEntry>(
         utility_->Compute(ServingView(snap), user, shard.workspace),
-        snap.version, shard.clock, sensitivity, shard.index_scratch);
+        sensitivity, shard.index_scratch);
+    found = fresh.get();
     EvictIfNeededLocked(shard);
-    auto [inserted, ok] = shard.cache.emplace(user, std::move(entry));
-    PRIVREC_CHECK(ok);
-    it = inserted;
-  } else if (it->second.version != snap.version) {
-    it->second.last_used = shard.clock;
-    RepairEntryLocked(shard, user, snap, sensitivity, it->second);
+    const bool inserted =
+        shard.slot_of.emplace(user, static_cast<uint32_t>(shard.cache.size()))
+            .second;
+    PRIVREC_CHECK(inserted);
+    shard.cache.push_back(
+        CacheSlot{user, snap.version, shard.clock, std::move(fresh)});
   } else {
-    ++shard.stats.cache_hits;
-    it->second.last_used = shard.clock;
-    // A mutation elsewhere in the graph can drift the global Δf without
-    // changing this user's vector; ratchet the entry's calibration up
-    // to the current bound (see CacheEntry::calibration_sensitivity).
-    it->second.calibration_sensitivity =
-        std::max(it->second.calibration_sensitivity, sensitivity);
+    CacheSlot& slot = shard.cache[it->second];
+    slot.last_used = shard.clock;
+    found = slot.entry.get();
+    if (slot.version != snap.version) {
+      RepairEntryLocked(shard, user, snap, sensitivity, slot.version, *found);
+      slot.version = snap.version;
+    } else {
+      ++shard.stats.cache_hits;
+      // A mutation elsewhere in the graph can drift the global Δf without
+      // changing this user's vector; ratchet the entry's calibration up
+      // to the current bound (see CacheEntry::calibration_sensitivity).
+      found->calibration_sensitivity =
+          std::max(found->calibration_sensitivity, sensitivity);
+    }
   }
-  CacheEntry& entry = it->second;
+  CacheEntry& entry = *found;
   if (entry.utilities.num_candidates() == 0) {
     // Cached like any other vector (delta repair keeps it fresh)
     // so repeated requests for an unservable user are O(1) hits, not

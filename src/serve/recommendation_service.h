@@ -29,8 +29,10 @@ struct ServiceOptions {
   double release_epsilon = 0.5;
   /// Lifetime ε budget per user (sequential composition cap).
   double per_user_budget = 5.0;
-  /// Maximum cached utility vectors before LRU-ish eviction (split evenly
-  /// across shards, at least one entry per shard).
+  /// Maximum cached utility vectors, split evenly across shards (at least
+  /// one entry per shard). A miss on a full shard first purges every entry
+  /// the journal floor has passed (doomed_evictions); only when there is
+  /// none does it evict the shard's least recently used entry, exactly.
   size_t cache_capacity = 4096;
   /// Number of shards (striped slices of users). 0 = auto: the hardware
   /// concurrency rounded up to a power of two, capped at 64. Values > 0
@@ -395,29 +397,23 @@ class RecommendationService {
 
  private:
   struct CacheEntry {
-    /// A fresh entry for `utilities` at graph `version`, calibrated at
-    /// `sensitivity`, with no sampler frozen yet. The only place a support
-    /// index is built: every route that replaces a cached vector (miss,
-    /// single-delta patch, window patch, recompute, journal fallback, the
-    /// kNode per-version recompute) assigns a newly constructed entry, so
-    /// `support` always indexes `utilities`; a kept entry keeps both.
-    /// `scratch` is the index sort's buffer.
-    CacheEntry(UtilityVector vec, uint64_t version, uint64_t last_used,
-               double sensitivity, std::vector<NodeId>& scratch)
+    /// A fresh entry for `utilities`, calibrated at `sensitivity`, with no
+    /// sampler frozen yet. The only place a support index is built: every
+    /// route that replaces a cached vector (miss, single-delta patch,
+    /// window patch, recompute, journal fallback, the kNode per-version
+    /// recompute) assigns a newly constructed entry, so `support` always
+    /// indexes `utilities`; a kept entry keeps both. `scratch` is the index
+    /// sort's buffer.
+    CacheEntry(UtilityVector vec, double sensitivity,
+               std::vector<NodeId>& scratch)
         : utilities(std::move(vec)),
           support(utilities, scratch),
-          version(version),
-          last_used(last_used),
           calibration_sensitivity(sensitivity) {}
 
     UtilityVector utilities;
     /// Node-sorted support of `utilities`: zero-block resolution is a
     /// binary search (core/mechanism.h), 4 B per support entry.
     SupportIndex support;
-    /// Graph version `utilities` reflects (a snapshot stamp). A lagging
-    /// stamp triggers journal repair on the next visit.
-    uint64_t version = 0;
-    uint64_t last_used = 0;
     /// The Δf this entry's releases are calibrated at. Ratchets up to
     /// max(creation-time Δf, every Δf observed on later hits): a larger
     /// calibration only adds noise, so it stays ε-DP both for a still-valid
@@ -433,9 +429,24 @@ class RecommendationService {
     double sampler_sensitivity = 0;
   };
 
+  /// One cached user: the 32 B of metadata eviction scans, with the entry
+  /// itself behind a pointer (see EvictIfNeededLocked).
+  struct CacheSlot {
+    NodeId user = 0;
+    /// Graph version `entry->utilities` reflects (a snapshot stamp). A
+    /// lagging stamp triggers journal repair on the next visit.
+    uint64_t version = 0;
+    /// The shard clock at the last visit; unique within a shard.
+    uint64_t last_used = 0;
+    std::unique_ptr<CacheEntry> entry;
+  };
+
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<NodeId, CacheEntry> cache;
+    /// The utility-vector cache: one slot per cached user, densely packed
+    /// in no particular order, and each user's index into it.
+    std::vector<CacheSlot> cache;
+    std::unordered_map<NodeId, uint32_t> slot_of;
     std::unordered_map<NodeId, PrivacyAccountant> accountants;
     UtilityWorkspace workspace;
     /// Reusable buffer for the affect-filtered window (RepairEntryLocked);
@@ -513,13 +524,14 @@ class RecommendationService {
                                      const DynamicGraph::StampedSnapshot& snap,
                                      double sensitivity, bool need_sampler);
 
-  /// Brings an entry whose version lags `snap` up to date: journal-drain
+  /// Brings an entry whose `version` lags `snap` up to date: journal-drain
   /// keep/patch when possible, full recompute otherwise (see the class
-  /// comment). Updates the delta_* / cache_* stats. Caller holds
-  /// `shard.mu`.
+  /// comment). Updates the delta_* / cache_* stats; the caller restamps
+  /// the slot. Caller holds `shard.mu`.
   void RepairEntryLocked(Shard& shard, NodeId user,
                          const DynamicGraph::StampedSnapshot& snap,
-                         double sensitivity, CacheEntry& entry);
+                         double sensitivity, uint64_t version,
+                         CacheEntry& entry);
 
   /// `charge_budget` == false is the ServeForAudit path: skips the
   /// accountant check-and-charge, counts the release in audit_serves.

@@ -51,9 +51,27 @@ ServiceOptions StressOptions() {
 
 // ------------------------------------------------------------------ stress
 
-TEST(ConcurrentServiceTest, StressMixedTrafficKeepsBudgetsExact) {
+/// A cache and journal size for the mixed-traffic stress.
+struct StressCacheShape {
+  const char* name;
+  size_t cache_capacity;
+  /// 0 keeps the graph's default journal.
+  size_t journal_capacity;
+  /// Whether shards fill up, so misses run eviction alongside mutators.
+  bool evicts;
+};
+
+class ConcurrentStressTest : public ::testing::TestWithParam<StressCacheShape> {
+};
+
+TEST_P(ConcurrentStressTest, StressMixedTrafficKeepsBudgetsExact) {
+  const StressCacheShape& shape = GetParam();
   DynamicGraph graph = StressGraph();
+  if (shape.journal_capacity > 0) {
+    graph.SetJournalCapacity(shape.journal_capacity);
+  }
   ServiceOptions options = StressOptions();
+  options.cache_capacity = shape.cache_capacity;
   RecommendationService service(
       &graph, std::make_unique<CommonNeighborsUtility>(), options);
   ASSERT_EQ(service.num_shards(), 8u);
@@ -123,7 +141,32 @@ TEST(ConcurrentServiceTest, StressMixedTrafficKeepsBudgetsExact) {
   EXPECT_EQ(stats.refused_budget, total_refused);
   // Every successful release did exactly one cache lookup.
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, total_success);
+  if (shape.evicts) {
+    // Eviction ran under the mutators: doomed purges happened, and users
+    // were inserted again after losing their slot (misses that were not
+    // repairs of a cached entry outnumber the distinct users served).
+    uint64_t distinct_served = 0;
+    for (NodeId user = 0; user < kStressNodes; ++user) {
+      if (successes[user].load() > 0) ++distinct_served;
+    }
+    EXPECT_GT(stats.doomed_evictions, 0u);
+    EXPECT_GT(stats.cache_misses - stats.delta_recomputed -
+                  stats.cache_invalidations,
+              distinct_served);
+  }
 }
+
+// 512 slots give each shard 64, more than the users it ever sees, so
+// nothing is evicted. 32 slots give each shard 4, and a 16-entry journal
+// dooms entries: LRU and doomed evictions then race the mutators on every
+// shard.
+INSTANTIATE_TEST_SUITE_P(
+    CacheShapes, ConcurrentStressTest,
+    ::testing::Values(StressCacheShape{"roomy", 512, 0, false},
+                      StressCacheShape{"evicting", 32, 16, true}),
+    [](const ::testing::TestParamInfo<StressCacheShape>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(ConcurrentServiceTest, SnapshotsAreNeverTorn) {
   DynamicGraph graph = StressGraph(7);

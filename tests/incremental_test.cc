@@ -13,6 +13,8 @@
 #include <cmath>
 #include <memory>
 #include <span>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/privacy_accountant.h"
@@ -1302,6 +1304,130 @@ TEST(IncrementalServiceTest, JournalAwareEvictionPurgesDoomedEntries) {
   EXPECT_EQ(stats.journal_fallbacks, 0u);
   EXPECT_EQ(stats.cache_invalidations, 0u);
   EXPECT_EQ(stats.cache_misses, 5u);  // 4 first visits + user 0's re-miss
+}
+
+TEST(IncrementalServiceTest, EvictionMatchesReferenceModelAndNeverEvictingTwin) {
+  // Pins WHICH entries eviction removes. A one-shard cache of 8 serves 40
+  // skewed users while bursts of toggles outrun a 4-entry journal, so
+  // evictions take all three shapes: purges of every entry, purges of some
+  // (the survivors' slots move), and LRU evictions. After every op an
+  // in-test model of the rule predicts the insert count and
+  // doomed_evictions. A twin service on a mirrored graph never evicts and
+  // draws from an identical Rng; common neighbours has a constant Δf, so
+  // the twin must return identical picks, and a lookup that lands on
+  // another user's slot would release that user's vector instead.
+  constexpr NodeId kNodes = 150;
+  constexpr size_t kUsers = 40;
+  constexpr size_t kCapacity = 8;
+  Rng graph_rng(171);
+  auto weights = PowerLawWeights(kNodes, 2.2);
+  auto base = ChungLu(weights, weights, 600, /*directed=*/false, graph_rng);
+  ASSERT_TRUE(base.ok());
+  DynamicGraph graph(*base);
+  DynamicGraph twin_graph(*base);
+  graph.SetJournalCapacity(4);
+  ServiceOptions options = IncrementalServiceOptions(true);
+  options.num_shards = 1;
+  options.cache_capacity = kCapacity;
+  RecommendationService service(
+      &graph, std::make_unique<CommonNeighborsUtility>(), options);
+  options.cache_capacity = kUsers;
+  RecommendationService twin(
+      &twin_graph, std::make_unique<CommonNeighborsUtility>(), options);
+
+  // The model: user -> {graph version at its last serve, last use}.
+  struct ModelEntry {
+    uint64_t version;
+    uint64_t last_used;
+  };
+  std::unordered_map<NodeId, ModelEntry> model;
+  uint64_t clock = 0, inserts = 0, doomed = 0;
+  int full_purges = 0, partial_purges = 0, lru_evictions = 0;
+  const auto model_serve = [&](NodeId user) {
+    ++clock;
+    if (!model.contains(user)) {
+      if (model.size() == kCapacity) {
+        // Purge every entry below the journal floor; otherwise evict the
+        // oldest last use.
+        const uint64_t floor = graph.journal_floor_version();
+        const size_t purged = std::erase_if(
+            model, [&](const auto& e) { return e.second.version < floor; });
+        doomed += purged;
+        if (purged == kCapacity) {
+          ++full_purges;
+        } else if (purged > 0) {
+          ++partial_purges;
+        } else {
+          model.erase(std::min_element(model.begin(), model.end(),
+                                       [](const auto& a, const auto& b) {
+                                         return a.second.last_used <
+                                                b.second.last_used;
+                                       }));
+          ++lru_evictions;
+        }
+      }
+      ++inserts;
+    }
+    model[user] = {graph.version(), clock};
+  };
+
+  Rng ops_rng(173);
+  Rng serve_rng(175);
+  Rng twin_rng(175);
+  std::unordered_set<NodeId> served_users;
+  int toggles = 0;
+  uint64_t burst = 0;  // toggles still due in the current burst
+  for (int op = 0; op < 3000; ++op) {
+    // Bursts of 1-8 toggles, about 20% of all ops: five or more in a row
+    // doom every entry served before them.
+    if (burst == 0 && ops_rng.NextBernoulli(0.05)) {
+      burst = 1 + ops_rng.NextBounded(8);
+    }
+    if (burst > 0) {
+      --burst;
+      const NodeId u = static_cast<NodeId>(ops_rng.NextBounded(kNodes));
+      const NodeId v = static_cast<NodeId>(ops_rng.NextBounded(kNodes));
+      if (u == v) continue;
+      if (graph.HasEdge(u, v)) {
+        ASSERT_TRUE(service.RemoveEdge(u, v).ok());
+        ASSERT_TRUE(twin.RemoveEdge(u, v).ok());
+      } else {
+        ASSERT_TRUE(service.AddEdge(u, v).ok());
+        ASSERT_TRUE(twin.AddEdge(u, v).ok());
+      }
+      ++toggles;
+      continue;
+    }
+    // Skewed users: the 8 lowest ranks draw about 45% of the serves.
+    const double x = ops_rng.NextDouble();
+    const NodeId user =
+        static_cast<NodeId>(3 * static_cast<size_t>(kUsers * x * x) + 1);
+    served_users.insert(user);
+    auto pick = service.ServeRecommendation(user, serve_rng);
+    auto twin_pick = twin.ServeRecommendation(user, twin_rng);
+    model_serve(user);
+    ASSERT_EQ(pick.ok(), twin_pick.ok()) << "op " << op;
+    if (pick.ok()) {
+      ASSERT_EQ(*pick, *twin_pick) << "op " << op;
+    }
+    const ServiceStats stats = service.stats();
+    ASSERT_EQ(stats.cache_misses - stats.delta_recomputed -
+                  stats.cache_invalidations,
+              inserts)
+        << "op " << op;
+    ASSERT_EQ(stats.doomed_evictions, doomed) << "op " << op;
+  }
+
+  EXPECT_GT(toggles, 400);
+  EXPECT_GT(full_purges, 0);
+  EXPECT_GT(partial_purges, 0);
+  EXPECT_GT(lru_evictions, 0);
+  // The twin inserted each user once and never evicted.
+  const ServiceStats twin_stats = twin.stats();
+  EXPECT_EQ(twin_stats.cache_misses - twin_stats.delta_recomputed -
+                twin_stats.cache_invalidations,
+            served_users.size());
+  EXPECT_EQ(twin_stats.doomed_evictions, 0u);
 }
 
 // ------------------------------------------------------------- TSAN stress
