@@ -772,7 +772,7 @@ void WriteJson(const std::string& path, NodeId users, uint64_t ops,
       "    \"degradation_matrix overheads are the price of the forced "
       "fallback routes: snapshot/projection patch failure pays a full "
       "O(n+m) rebuild per mutation, journal compaction dooms pinned "
-      "windows into exact recomputes, repair_fail abandons delta patching "
+      "windows into exact recomputes, repair_fail abandons journal repair "
       "per visited entry — all EXACT fallbacks, so serves stay "
       "byte-identical to the clean run (tests/fault_injection_test.cc "
       "proves it)\",\n"

@@ -4,11 +4,11 @@
 # Builds the library + tests under ThreadSanitizer and runs the `concurrent`
 # and `incremental` ctest labels (the stress/property suites in
 # tests/concurrent_service_test.cc and tests/incremental_test.cc — the
-# latter covers concurrent mutation racing delta-patched cache repair),
+# latter covers concurrent mutation racing keep-or-recompute cache repair),
 # then optionally repeats under AddressSanitizer+UBSan for the whole suite,
 # and/or runs the DP `audit` label under ASan+UBSan plus the audit-landscape
-# and mutation-serving benches that refresh BENCH_audit_landscape.json and
-# BENCH_mutation_serving.json.
+# and 2-hop-kernel benches that refresh BENCH_audit_landscape.json and
+# BENCH_two_hop_kernels.json.
 #
 # Usage:
 #   ci/sanitize.sh            # TSAN build + concurrent/incremental labels
@@ -23,7 +23,6 @@
 #                             # certified-bound regressions beyond
 #                             # --tolerance, and shrunken Bonferroni cell
 #                             # counts all fail CI) /
-#                             # bench_mutation_serving /
 #                             # bench_two_hop_kernels with their output
 #                             # wired into the checked-in BENCH JSONs
 #   ci/sanitize.sh --faults   # additionally the fault-injection /
@@ -155,9 +154,6 @@ if [[ "$run_audit" == "1" ]]; then
   ./build/bench_audit_landscape --trials=4000 --pairs=3 \
     --baseline=BENCH_audit_landscape.json --tolerance=0.1 \
     --json=BENCH_audit_landscape.json
-  echo "=== [default] bench_mutation_serving -> BENCH_mutation_serving.json ==="
-  cmake --build --preset default -j "$(nproc)" --target bench_mutation_serving
-  ./build/bench_mutation_serving --json=BENCH_mutation_serving.json
   echo "=== [default] bench_two_hop_kernels -> BENCH_two_hop_kernels.json ==="
   cmake --build --preset default -j "$(nproc)" --target bench_two_hop_kernels
   ./build/bench_two_hop_kernels --json=BENCH_two_hop_kernels.json
@@ -253,7 +249,8 @@ if [[ "$run_native" == "1" ]]; then
   echo "=== [native] ctest (kernel differential + incremental + mechanisms) ==="
   # The bitwise-identity contract must survive the widest codegen the host
   # offers: the differential suite re-checks kernel == naive, the
-  # incremental suite re-checks patch == fresh Compute, and the mechanisms
+  # incremental suite re-checks that every entry the keep test clears
+  # equals a fresh Compute, and the mechanisms
   # suite re-checks the support-index resolver == its hash-set reference,
   # all under -march=native. The radix sort (common/radix_sort.h) is
   # shared by the 2-hop finalize and the support index, so the smoke run

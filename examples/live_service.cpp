@@ -197,14 +197,11 @@ int main(int argc, char** argv) {
   table.AddRow({"cache invalidations",
                 std::to_string(stats.cache_invalidations)});
   // Incremental maintenance at work: under churn, most cached entries
-  // survive a mutation untouched (kept) or are patched in O(Δ) instead of
-  // recomputed — see README "Incremental maintenance".
+  // survive a mutation untouched (kept); only the entries a mutation can
+  // change are recomputed — see README "Incremental maintenance".
   table.AddRow({"entries kept across mutations",
                 std::to_string(stats.delta_kept)});
-  table.AddRow({"entries delta-patched", std::to_string(stats.delta_patched)});
-  table.AddRow({"deltas dropped by affect filter",
-                std::to_string(stats.filter_dropped_deltas)});
-  table.AddRow({"entries recomputed (wide window)",
+  table.AddRow({"affected entries recomputed",
                 std::to_string(stats.delta_recomputed)});
   table.AddRow({"journal fallbacks", std::to_string(stats.journal_fallbacks)});
   table.AddRow({"doomed entries evicted",

@@ -258,7 +258,7 @@ class ServiceAuditor {
   /// Audits the pair while `mutation.mutator_threads` concurrent workers
   /// apply IDENTICAL deterministic edge-toggle streams to both sides
   /// (serve/concurrent_driver.h MirroredMutator) — certifying the
-  /// delta-repair + PatchCsr + affect-filter stack under live load, not
+  /// keep-or-recompute repair + PatchCsr stack under live load, not
   /// just after a single pre-audit toggle. Runs `mutation.rounds` phases:
   /// concurrent mutation+churn, barrier, then a single-threaded
   /// measurement slice of trials_per_side / rounds trials per side on a

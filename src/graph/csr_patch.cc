@@ -16,12 +16,12 @@ struct ArcOp {
   bool insert;  // false = erase
 };
 
-/// Expands the delta window into per-arc toggles under `orientation`,
-/// cancels inverse pairs, and returns the surviving ops sorted by
-/// (src, dst). Fails on a net count outside ±1 (a toggle sequence the
-/// journal could never have produced for this orientation).
+/// Expands the delta window into per-arc toggles, cancels inverse pairs,
+/// and returns the surviving ops sorted by (src, dst). Fails on a net
+/// count outside ±1 (a toggle sequence the journal could never have
+/// produced).
 Status NetArcOps(const CsrGraph& prev, std::span<const EdgeDelta> deltas,
-                 CsrPatchOrientation orientation, std::vector<ArcOp>* ops) {
+                 std::vector<ArcOp>* ops) {
   // Keyed aggregation on packed (src, dst); the window is small (the
   // caller bounds it by the patch threshold), so a sorted flat vector
   // beats hashing.
@@ -33,14 +33,9 @@ Status NetArcOps(const CsrGraph& prev, std::span<const EdgeDelta> deltas,
       return Status::InvalidArgument("delta endpoint out of range");
     }
     const int sign = delta.added ? 1 : -1;
-    if (orientation == CsrPatchOrientation::kReverse) {
+    net.emplace_back((static_cast<uint64_t>(delta.u) << 32) | delta.v, sign);
+    if (!prev.directed()) {
       net.emplace_back((static_cast<uint64_t>(delta.v) << 32) | delta.u, sign);
-    } else {
-      net.emplace_back((static_cast<uint64_t>(delta.u) << 32) | delta.v, sign);
-      if (!prev.directed()) {
-        net.emplace_back((static_cast<uint64_t>(delta.v) << 32) | delta.u,
-                         sign);
-      }
     }
   }
   std::sort(net.begin(), net.end(),
@@ -64,14 +59,9 @@ Status NetArcOps(const CsrGraph& prev, std::span<const EdgeDelta> deltas,
 }  // namespace
 
 Result<CsrGraph> PatchCsr(const CsrGraph& prev,
-                          std::span<const EdgeDelta> deltas,
-                          CsrPatchOrientation orientation) {
-  if (orientation == CsrPatchOrientation::kReverse && !prev.directed()) {
-    return Status::InvalidArgument(
-        "reverse orientation on an undirected CSR (its reverse is itself)");
-  }
+                          std::span<const EdgeDelta> deltas) {
   std::vector<ArcOp> ops;
-  PRIVREC_RETURN_NOT_OK(NetArcOps(prev, deltas, orientation, &ops));
+  PRIVREC_RETURN_NOT_OK(NetArcOps(prev, deltas, &ops));
 
   // Validate every op against prev BEFORE sizing the output: the splice
   // below trusts that each insert lands in a fresh slot and each erase

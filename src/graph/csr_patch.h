@@ -9,23 +9,12 @@
 
 namespace privrec {
 
-/// Which arc of each EdgeDelta a CSR stores. A DynamicGraph snapshot is a
-/// forward CSR plus, for directed graphs, a reverse CSR of the transposed
-/// arcs; both are patched from the same journal window, each through its
-/// own orientation.
-enum class CsrPatchOrientation {
-  /// The delta toggles arc u -> v; when `prev` is undirected the mirror
-  /// arc v -> u toggles too (undirected CSRs store each edge as two arcs).
-  kForward,
-  /// The delta toggles arc v -> u only: the directed reverse (in-neighbor)
-  /// CSR. Never combined with an undirected `prev`.
-  kReverse,
-};
-
 /// Journal-driven CSR patching (the "incrementally-patched CSR snapshots"
 /// of README "Incremental maintenance"): applies the ordered edge-delta
 /// window `deltas` to the immutable CSR `prev` and returns the CSR of the
-/// post-window graph, without rebuilding from adjacency sets.
+/// post-window graph, without rebuilding from adjacency sets. Each delta
+/// toggles arc u -> v; when `prev` is undirected the mirror arc v -> u
+/// toggles too (undirected CSRs store each edge as two arcs).
 ///
 /// One pass over the node range: the offset array is re-based with a
 /// running arc shift, untouched nodes' target spans are bulk-memcpy'd, and
@@ -35,8 +24,9 @@ enum class CsrPatchOrientation {
 /// unavoidable O(n + m) array copy of an immutable snapshot:
 /// O(Δ log Δ + Σ deg(touched)) — no hashing, no global sort, no
 /// per-arc dedup, which is what makes a patched publication several times
-/// cheaper than GraphBuilder::Build on the same state (see
-/// BENCH_mutation_serving.json "snapshot_path").
+/// cheaper than GraphBuilder::Build on the same state. perfbench's traced
+/// churn run reports its cost per toggle (`graph.publish_us`) and the
+/// share of publications it serves (`graph.patch_share`).
 ///
 /// Errors (InvalidArgument) when the window is inconsistent with `prev`
 /// after cancellation — a net insertion of an arc already present, a net
@@ -44,8 +34,7 @@ enum class CsrPatchOrientation {
 /// outside ±1 (a malformed journal). Callers treat any error as "patch
 /// impossible, rebuild from scratch"; DynamicGraph does exactly that.
 Result<CsrGraph> PatchCsr(const CsrGraph& prev,
-                          std::span<const EdgeDelta> deltas,
-                          CsrPatchOrientation orientation);
+                          std::span<const EdgeDelta> deltas);
 
 }  // namespace privrec
 

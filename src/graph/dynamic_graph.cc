@@ -9,21 +9,14 @@
 namespace privrec {
 
 DynamicGraph::DynamicGraph(NodeId num_nodes, bool directed)
-    : directed_(directed),
-      adjacency_(num_nodes),
-      in_adjacency_(directed ? num_nodes : 0) {
+    : directed_(directed), adjacency_(num_nodes) {
   num_nodes_.store(num_nodes, std::memory_order_release);
 }
 
 DynamicGraph::DynamicGraph(const CsrGraph& graph)
-    : directed_(graph.directed()),
-      adjacency_(graph.num_nodes()),
-      in_adjacency_(graph.directed() ? graph.num_nodes() : 0) {
+    : directed_(graph.directed()), adjacency_(graph.num_nodes()) {
   for (NodeId u = 0; u < graph.num_nodes(); ++u) {
-    for (NodeId v : graph.OutNeighbors(u)) {
-      adjacency_[u].insert(v);
-      if (directed_) in_adjacency_[v].insert(u);
-    }
+    for (NodeId v : graph.OutNeighbors(u)) adjacency_[u].insert(v);
   }
   num_nodes_.store(graph.num_nodes(), std::memory_order_release);
   num_edges_.store(graph.num_edges(), std::memory_order_release);
@@ -47,7 +40,6 @@ NodeId DynamicGraph::AddNode() {
     wal_last_seq_ = *seq;
   }
   adjacency_.emplace_back();
-  if (directed_) in_adjacency_.emplace_back();
   const NodeId id = static_cast<NodeId>(adjacency_.size() - 1);
   // Version before node count: a reader that observes the new num_nodes()
   // (acquire) is then guaranteed to observe the bumped version too, so it
@@ -120,11 +112,7 @@ Status DynamicGraph::AddEdge(NodeId u, NodeId v) {
         wal_last_seq_, wal_->Append(WalRecordKind::kAddEdge, u, v));
     adjacency_[u].insert(v);
   }
-  if (directed_) {
-    in_adjacency_[v].insert(u);
-  } else {
-    adjacency_[v].insert(u);
-  }
+  if (!directed_) adjacency_[v].insert(u);
   num_edges_.fetch_add(1, std::memory_order_acq_rel);
   version_.fetch_add(1, std::memory_order_acq_rel);
   JournalAppendLocked(u, v, /*added=*/true);
@@ -146,11 +134,7 @@ Status DynamicGraph::RemoveEdge(NodeId u, NodeId v) {
         wal_last_seq_, wal_->Append(WalRecordKind::kRemoveEdge, u, v));
     adjacency_[u].erase(v);
   }
-  if (directed_) {
-    in_adjacency_[v].erase(u);
-  } else {
-    adjacency_[v].erase(u);
-  }
+  if (!directed_) adjacency_[v].erase(u);
   num_edges_.fetch_sub(1, std::memory_order_acq_rel);
   version_.fetch_add(1, std::memory_order_acq_rel);
   JournalAppendLocked(u, v, /*added=*/false);
@@ -166,12 +150,6 @@ bool DynamicGraph::HasEdge(NodeId u, NodeId v) const {
 uint32_t DynamicGraph::OutDegree(NodeId v) const {
   std::lock_guard<std::mutex> lock(writer_mu_);
   return static_cast<uint32_t>(adjacency_[v].size());
-}
-
-uint32_t DynamicGraph::InDegree(NodeId v) const {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  return static_cast<uint32_t>(directed_ ? in_adjacency_[v].size()
-                                         : adjacency_[v].size());
 }
 
 Result<std::vector<EdgeDelta>> DynamicGraph::EdgeDeltasBetween(
@@ -238,18 +216,6 @@ std::shared_ptr<const DynamicGraph::VersionedCsr> DynamicGraph::BuildLocked()
       builder.AddEdge(u, v);
     }
   }
-  std::optional<CsrGraph> in_graph;
-  if (directed_) {
-    // Materialize the incrementally-maintained in-neighbor index as the
-    // snapshot's reverse CSR (arcs transposed, same stamp).
-    GraphBuilder reverse_builder(/*directed=*/true);
-    reverse_builder.SetNumNodes(static_cast<NodeId>(in_adjacency_.size()));
-    reverse_builder.Reserve(num_edges_.load(std::memory_order_relaxed));
-    for (NodeId v = 0; v < in_adjacency_.size(); ++v) {
-      for (NodeId u : in_adjacency_[v]) reverse_builder.AddEdge(v, u);
-    }
-    in_graph.emplace(reverse_builder.Build());
-  }
   CsrGraph forward = builder.Build();
   std::optional<CsrGraph> projected;
   const uint32_t cap = degree_cap_.load(std::memory_order_relaxed);
@@ -260,8 +226,7 @@ std::shared_ptr<const DynamicGraph::VersionedCsr> DynamicGraph::BuildLocked()
   auto built = std::make_shared<VersionedCsr>(
       VersionedCsr{version_.load(std::memory_order_relaxed),
                    num_edges_.load(std::memory_order_relaxed),
-                   std::move(forward), std::move(in_graph),
-                   std::move(projected), cap});
+                   std::move(forward), std::move(projected), cap});
   snapshot_builds_.fetch_add(1, std::memory_order_acq_rel);
   return built;
 }
@@ -292,16 +257,8 @@ std::shared_ptr<const DynamicGraph::VersionedCsr> DynamicGraph::TryPatchLocked(
   Result<std::vector<EdgeDelta>> window =
       EdgeDeltasBetweenLocked(prev->version, version);
   if (!window.ok()) return nullptr;
-  Result<CsrGraph> forward =
-      PatchCsr(prev->graph, *window, CsrPatchOrientation::kForward);
+  Result<CsrGraph> forward = PatchCsr(prev->graph, *window);
   if (!forward.ok()) return nullptr;
-  std::optional<CsrGraph> in_graph;
-  if (directed_) {
-    Result<CsrGraph> reverse =
-        PatchCsr(*prev->in_graph, *window, CsrPatchOrientation::kReverse);
-    if (!reverse.ok()) return nullptr;
-    in_graph.emplace(*std::move(reverse));
-  }
   // Projected companion: O(Δ) splice when the previous snapshot projected
   // at the same cap, full re-projection otherwise (cap just turned on or
   // changed — the snapshot reset in SetDegreeCap makes that path rare).
@@ -330,8 +287,7 @@ std::shared_ptr<const DynamicGraph::VersionedCsr> DynamicGraph::TryPatchLocked(
   }
   auto built = std::make_shared<VersionedCsr>(
       VersionedCsr{version, num_edges_.load(std::memory_order_relaxed),
-                   *std::move(forward), std::move(in_graph),
-                   std::move(projected), cap});
+                   *std::move(forward), std::move(projected), cap});
   // The patched CSR must materialize exactly the journal's idea of the
   // current edge count; a disagreement would be a journal bug, not a
   // recoverable condition.
@@ -344,11 +300,9 @@ namespace {
 
 DynamicGraph::StampedSnapshot MakeStamped(
     std::shared_ptr<const void> owner, const CsrGraph* graph,
-    const CsrGraph* in_graph, const CsrGraph* projected, uint64_t version,
-    uint64_t num_edges) {
+    const CsrGraph* projected, uint64_t version, uint64_t num_edges) {
   return DynamicGraph::StampedSnapshot{
       std::shared_ptr<const CsrGraph>(owner, graph),
-      std::shared_ptr<const CsrGraph>(owner, in_graph),
       projected == nullptr
           ? std::shared_ptr<const CsrGraph>()
           : std::shared_ptr<const CsrGraph>(std::move(owner), projected),
@@ -370,12 +324,10 @@ DynamicGraph::StampedSnapshot DynamicGraph::VersionedSnapshot() const {
   }
   if (current != nullptr &&
       current->version == version_.load(std::memory_order_acquire)) {
-    const CsrGraph* reverse =
-        current->in_graph.has_value() ? &*current->in_graph : &current->graph;
     const CsrGraph* projected =
         current->projected.has_value() ? &*current->projected : nullptr;
-    return MakeStamped(current, &current->graph, reverse, projected,
-                       current->version, current->num_edges);
+    return MakeStamped(current, &current->graph, projected, current->version,
+                       current->num_edges);
   }
   // Slow path: rebuild under the writer mutex (excludes mutators, and
   // collapses concurrent rebuilders into one build via the re-check).
@@ -399,12 +351,10 @@ DynamicGraph::StampedSnapshot DynamicGraph::SnapshotWriterLocked() const {
     std::lock_guard<std::mutex> publish_lock(snapshot_mu_);
     snapshot_ = current;
   }
-  const CsrGraph* reverse =
-      current->in_graph.has_value() ? &*current->in_graph : &current->graph;
   const CsrGraph* projected =
       current->projected.has_value() ? &*current->projected : nullptr;
-  return MakeStamped(current, &current->graph, reverse, projected,
-                     current->version, current->num_edges);
+  return MakeStamped(current, &current->graph, projected, current->version,
+                     current->num_edges);
 }
 
 DynamicGraph::CheckpointView DynamicGraph::AtomicCheckpointView() const {

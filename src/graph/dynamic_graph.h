@@ -72,33 +72,17 @@ class WriteAheadLog;  // persist/wal.h
 ///    window has been compacted away (capacity overflow) or interrupted by
 ///    a non-edge version bump (AddNode clears the journal: a new node
 ///    changes every target's candidate count, which no edge delta
-///    describes). Callers — the delta-patched serving cache — fall back to
-///    full recomputation on that error.
-///  - Directed graphs additionally maintain an in-neighbor index
-///    (adjacency transposed) incrementally, O(1) per mutation, and publish
-///    it as a reverse CSR alongside each snapshot, so
-///    AffectedTargets(delta) is O(in-deg(u) + in-deg(v)) instead of a full
-///    scan. For undirected graphs the reverse CSR is the forward CSR
-///    (zero extra cost); directed snapshot rebuilds pay a second O(n+m)
-///    build for the transpose — once per mutation per first reader, the
-///    price of O(in-deg) affected-set enumeration. (The serving hot path
-///    itself only needs the O(log deg) membership test
-///    EdgeDeltaAffectsTarget, which runs on the forward CSR.)
-///  - Journal and index are guarded by the writer mutex like the
-///    adjacency itself; all new accessors are safe from any thread.
+///    describes). Callers — the keep-or-recompute serving cache — fall
+///    back to full recomputation on that error.
+///  - The journal is guarded by the writer mutex like the adjacency
+///    itself; all its accessors are safe from any thread.
 class DynamicGraph {
  public:
   /// An immutable CSR snapshot together with the graph version it
-  /// materializes. `graph` and `in_graph` alias into the same control
-  /// block, so holding any member keeps all alive.
+  /// materializes. `graph` and `projected` alias into the same control
+  /// block, so holding either keeps both alive.
   struct StampedSnapshot {
     std::shared_ptr<const CsrGraph> graph;
-    /// In-neighbor (reverse CSR) companion: in_graph->OutNeighbors(v) are
-    /// the nodes with an arc into v. For undirected graphs this aliases
-    /// `graph` itself (in == out); for directed graphs it is the
-    /// incrementally-maintained transpose, materialized at the same
-    /// version.
-    std::shared_ptr<const CsrGraph> in_graph;
     /// Degree-capped projected companion (graph/degree_cap.h), published
     /// at the same stamp when SetDegreeCap(D > 0) is active; null
     /// otherwise. Node-DP serving computes utilities and candidate sets
@@ -152,10 +136,6 @@ class DynamicGraph {
   bool HasEdge(NodeId u, NodeId v) const;
 
   uint32_t OutDegree(NodeId v) const;
-
-  /// Number of arcs INTO v, maintained incrementally (== OutDegree for
-  /// undirected graphs).
-  uint32_t InDegree(NodeId v) const;
 
   /// Mutation counter; bumped by AddNode/AddEdge/RemoveEdge (only when the
   /// mutation succeeds, while the writer mutex is held).
@@ -293,15 +273,12 @@ class DynamicGraph {
   CheckpointView AtomicCheckpointView() const;
 
  private:
-  /// The unit the atomic pointer publishes: stamp + CSR (+ reverse CSR for
-  /// directed graphs) in one immutable allocation.
+  /// The unit the atomic pointer publishes: stamp + CSR (+ projection) in
+  /// one immutable allocation.
   struct VersionedCsr {
     uint64_t version;
     uint64_t num_edges;
     CsrGraph graph;
-    /// Transposed arcs; engaged iff the graph is directed (undirected
-    /// snapshots alias `graph` as their own reverse).
-    std::optional<CsrGraph> in_graph;
     /// Degree-capped projection of `graph`; engaged iff degree_cap > 0.
     std::optional<CsrGraph> projected;
     /// The cap `projected` was derived at (0 = no projection). Recorded so
@@ -326,8 +303,7 @@ class DynamicGraph {
   std::shared_ptr<const VersionedCsr> BuildLocked() const;
 
   /// Attempts the O(Δ) publication path: splice the journal window
-  /// (prev->version, version()] into `prev` via PatchCsr (forward CSR
-  /// plus, for directed graphs, the reverse CSR from the same window).
+  /// (prev->version, version()] into `prev` via PatchCsr.
   /// Returns null — caller falls back to BuildLocked() — when `prev` is
   /// null, patching is disabled, the node count moved (AddNode), the
   /// journal was compacted past prev->version, the window exceeds the
@@ -351,9 +327,6 @@ class DynamicGraph {
   /// Never taken by snapshot readers whose version is already published.
   mutable std::mutex writer_mu_;
   std::vector<std::unordered_set<NodeId>> adjacency_;
-  /// In-neighbor sets, maintained under writer_mu_; populated only for
-  /// directed graphs (undirected in-neighbors are adjacency_ itself).
-  std::vector<std::unordered_set<NodeId>> in_adjacency_;
 
   /// Edge-delta journal (guarded by writer_mu_): consecutive-version
   /// toggles with journal_floor_version_ the stamp just before the oldest

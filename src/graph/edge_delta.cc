@@ -1,6 +1,9 @@
 #include "graph/edge_delta.h"
 
-#include <algorithm>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
+#include <vector>
 
 namespace privrec {
 
@@ -14,57 +17,52 @@ bool EdgeDeltaAffectsTarget(const CsrGraph& graph, const EdgeDelta& delta,
          graph.HasEdge(target, delta.v);
 }
 
-std::vector<NodeId> AffectedTargets(const CsrGraph& graph,
-                                    const CsrGraph& in_graph,
-                                    const EdgeDelta& delta) {
-  std::vector<NodeId> targets;
-  // in_graph.OutNeighbors(x) are the nodes with an arc INTO x.
-  const auto in_u = in_graph.OutNeighbors(delta.u);
-  targets.reserve(in_u.size() + 2);
-  targets.push_back(delta.u);
-  targets.insert(targets.end(), in_u.begin(), in_u.end());
-  if (!graph.directed()) {
-    const auto in_v = in_graph.OutNeighbors(delta.v);
-    targets.push_back(delta.v);
-    targets.insert(targets.end(), in_v.begin(), in_v.end());
-  }
-  std::sort(targets.begin(), targets.end());
-  targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
-  return targets;
-}
-
-void FilterAffectingDeltas(const CsrGraph& graph,
-                           std::span<const EdgeDelta> deltas, NodeId target,
-                           std::span<const NodeId> extra_nodes,
-                           std::vector<EdgeDelta>& out) {
-  // Ever-neighbors: heads of window arcs incident to the target. These
-  // nodes' adjacency must be fully reconstructible even when the final
-  // snapshot no longer shows the target edge (the batch engine subtracts
-  // their pre-window contribution).
-  std::vector<NodeId> ever;
-  for (const EdgeDelta& delta : deltas) {
-    if (delta.u == target) {
-      ever.push_back(delta.v);
-    } else if (!graph.directed() && delta.v == target) {
-      ever.push_back(delta.u);
+bool WindowWithinWalkCone(const CsrGraph& graph,
+                          std::span<const EdgeDelta> window, NodeId target,
+                          int max_hops) {
+  if (window.empty()) return false;
+  // Tails whose out-lists the window changed, and the union-graph arc
+  // injections (every window arc, added or removed: the union covers every
+  // intermediate state the cone test must be conservative against).
+  std::unordered_map<NodeId, std::vector<NodeId>> injected;
+  std::unordered_set<NodeId> tails;
+  for (const EdgeDelta& delta : window) {
+    tails.insert(delta.u);
+    injected[delta.u].push_back(delta.v);
+    if (!graph.directed()) {
+      tails.insert(delta.v);
+      injected[delta.v].push_back(delta.u);
     }
   }
-  std::sort(ever.begin(), ever.end());
-  ever.erase(std::unique(ever.begin(), ever.end()), ever.end());
+  if (tails.count(target) > 0) return true;
+  if (max_hops <= 0) return false;
 
-  const auto relevant = [&](NodeId x) {
-    return x == target || graph.HasEdge(target, x) ||
-           std::binary_search(ever.begin(), ever.end(), x) ||
-           std::binary_search(extra_nodes.begin(), extra_nodes.end(), x);
-  };
-  for (const EdgeDelta& delta : deltas) {
-    // Directed: only the tail's out-adjacency changes; the head's
-    // out-state is untouched (mirrors EdgeDeltaAffectsTarget).
-    const bool keep = graph.directed()
-                          ? relevant(delta.u)
-                          : (relevant(delta.u) || relevant(delta.v));
-    if (keep) out.push_back(delta);
+  // Bounded BFS from the target over post-graph ∪ injected arcs; visited
+  // is a hash set so the cost is the cone, not O(n).
+  std::unordered_set<NodeId> visited{target};
+  std::vector<NodeId> frontier{target}, next;
+  for (int hop = 1; hop <= max_hops && !frontier.empty(); ++hop) {
+    next.clear();
+    for (const NodeId v : frontier) {
+      const auto expand = [&](NodeId w) -> bool {
+        if (!visited.insert(w).second) return false;
+        if (tails.count(w) > 0) return true;
+        next.push_back(w);
+        return false;
+      };
+      for (const NodeId w : graph.OutNeighbors(v)) {
+        if (expand(w)) return true;
+      }
+      const auto it = injected.find(v);
+      if (it != injected.end()) {
+        for (const NodeId w : it->second) {
+          if (expand(w)) return true;
+        }
+      }
+    }
+    std::swap(frontier, next);
   }
+  return false;
 }
 
 }  // namespace privrec

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "graph/csr_graph.h"
 
@@ -51,64 +50,24 @@ struct EdgeDelta {
 bool EdgeDeltaAffectsTarget(const CsrGraph& graph, const EdgeDelta& delta,
                             NodeId target);
 
-/// Enumerates every target EdgeDeltaAffectsTarget accepts, sorted and
-/// deduplicated, in O(in-deg(u) + in-deg(v)) using the reverse-adjacency
-/// index: `in_graph` must be the in-neighbor (reverse CSR) companion of
-/// `graph` (DynamicGraph::StampedSnapshot::in_graph; for undirected graphs
-/// it is the graph itself). Same post-batch snapshot caveat as the
-/// membership test.
-std::vector<NodeId> AffectedTargets(const CsrGraph& graph,
-                                    const CsrGraph& in_graph,
-                                    const EdgeDelta& delta);
-
-/// Affect-filtered window patching (the ISSUE 6 second prong): filters an
-/// ordered journal window down to the sub-window that can matter for
-/// `target`, appending kept deltas to `out` IN WINDOW ORDER. `graph` is
-/// the post-window snapshot.
+/// Exact keep test for truncated-walk utilities (Katz, personalized
+/// PageRank): true iff some window delta's changed out-list can be READ by
+/// a walk of at most `max_hops` arcs from `target` — i.e. some delta TAIL
+/// (the arc's source; both endpoints on undirected graphs) is the target
+/// itself or reachable from it within `max_hops` hops. Reachability runs
+/// over the UNION of the post-window snapshot's arcs and every window arc
+/// (injected regardless of add/remove): the union is a supergraph of every
+/// intermediate state, so "tail unreachable in the union" proves no walk in
+/// ANY state of the window touches a changed list — the cached vector is
+/// exactly current and may be kept.
 ///
-/// Keep rule — a delta survives iff it touches the target's
-/// EVER-neighborhood closure C:
-///   C = {target} ∪ N_post(target)
-///       ∪ {heads of window arcs incident to target}   ("ever-neighbors":
-///         nodes that were first-hop neighbors at some point mid-window
-///         even if the final snapshot no longer shows the edge)
-///       ∪ `extra_nodes` (sorted; a utility-specific widening — Jaccard
-///         passes its cached support for the union-term dependence).
-/// Directed graphs test the delta's TAIL only (a delta changes only its
-/// tail's out-adjacency, and the 2-hop engines read out-state of the
-/// target and its ever-first-hops exclusively); undirected graphs test
-/// both endpoints.
-///
-/// Why this filter is exact for the Σ weight(deg(intermediate)) family:
-/// every node whose pre-window adjacency or degree the patch engines
-/// reconstruct (the target and every node that is a first-hop at ANY
-/// point in the window) lies in C, and the filter keeps ALL deltas with
-/// an endpoint in C — so the engines see complete net-arc information for
-/// every node they query, and the excluded deltas touch only nodes whose
-/// state the engines never read. Patching the cached vector with the
-/// filtered window therefore equals patching with the full window, delta
-/// for delta, bit for bit (tests/incremental_test.cc holds this as a
-/// randomized property). In particular a filtered singleton may be
-/// dispatched to the single-delta engine even when the raw window was
-/// wide.
-///
-/// Consistency with the affect tests: EdgeDeltaAffectsTarget(delta) == true
-/// implies the filter keeps `delta` (a structurally affecting delta has an
-/// endpoint in {target} ∪ N_post(target)), so a window that
-/// EdgeDeltaWindowAffects flags can never filter to empty under the same
-/// closure rule.
-void FilterAffectingDeltas(const CsrGraph& graph,
-                           std::span<const EdgeDelta> deltas, NodeId target,
-                           std::span<const NodeId> extra_nodes,
-                           std::vector<EdgeDelta>& out);
-
-/// Structural-only form (no utility-specific widening).
-inline void FilterAffectingDeltas(const CsrGraph& graph,
-                                  std::span<const EdgeDelta> deltas,
-                                  NodeId target, std::vector<EdgeDelta>& out) {
-  FilterAffectingDeltas(graph, deltas, target, std::span<const NodeId>(),
-                        out);
-}
+/// BFS never re-expands `target`, which matches both walk conventions:
+/// Katz walks avoid the target as an intermediate, and for PPR (walks may
+/// revisit the target) any walk through the target has a suffix from the
+/// target at most as long, so plain BFS reachability is equivalent.
+bool WindowWithinWalkCone(const CsrGraph& graph,
+                          std::span<const EdgeDelta> window, NodeId target,
+                          int max_hops);
 
 }  // namespace privrec
 

@@ -285,9 +285,10 @@ void RecommendationService::RepairEntryLocked(
     if (deltas.ok()) {
       // Membership against the post-batch snapshot is exact as long as the
       // whole window is tested together (see EdgeDeltaAffectsTarget); the
-      // utility owns the test because some (Jaccard) see a wider blast
-      // radius than the structural rule — and need the whole window at
-      // once to reconstruct pre-window state (EdgeDeltaWindowAffects).
+      // utility owns the test because some see a wider blast radius than
+      // the structural rule (Jaccard's union term, the Katz/PPR walk cone)
+      // — and need the whole window at once to reconstruct pre-window
+      // state (EdgeDeltaWindowAffects).
       if (!utility_->EdgeDeltaWindowAffects(*snap.graph, *deltas, user,
                                             entry.utilities)) {
         // The cached vector — and its frozen sampler — are still exactly
@@ -299,71 +300,18 @@ void RecommendationService::RepairEntryLocked(
             std::max(entry.calibration_sensitivity, sensitivity);
         return;
       }
-      // Affect-filtered window patching (ISSUE 6): shrink the window to
-      // the deltas that can matter for THIS target before the size-based
-      // dispatch below, so max_patch_window bounds relevant deltas, not
-      // raw width — under skewed write traffic an affected entry behind a
-      // wide window of mostly-elsewhere toggles still takes the O(Δ)
-      // patch instead of the recompute cliff. The filter's exactness
-      // contract (UtilityFunction::FilterAffectingWindow) makes every
-      // dispatch below — including the filtered-singleton single-delta
-      // patch — equal to patching the full window.
+      // Affected: recompute this one entry against the snapshot. The vector
+      // changed, so the frozen sampler dies and the calibration re-anchors
+      // at the snapshot the new vector reflects. Recomputing is exact and,
+      // at serving scale, no dearer than splicing the window into the
+      // cached vector (README "Keep-or-recompute cache repair").
       Stopwatch repair_watch;
-      std::span<const EdgeDelta> window = *deltas;
-      if (options_.enable_affect_filter) {
-        shard.filtered.clear();
-        utility_->FilterAffectingWindow(*snap.graph, *deltas, user,
-                                        entry.utilities, shard.filtered);
-        shard.stats.filter_dropped_deltas +=
-            deltas->size() - shard.filtered.size();
-        window = shard.filtered;
-        if (window.empty()) {
-          // Unreachable for the shipped utilities (an affecting window
-          // never filters to empty — see FilterAffectingDeltas), but the
-          // filter contract makes keeping correct regardless: every
-          // dropped delta provably leaves this vector unchanged.
-          ++shard.stats.cache_hits;
-          ++shard.stats.delta_kept;
-          entry.calibration_sensitivity =
-              std::max(entry.calibration_sensitivity, sensitivity);
-          return;
-        }
-      }
-      if (window.size() == 1) {
-        // O(Δ) patch, exactly equal to a fresh Compute; the vector changed,
-        // so the frozen sampler dies and the calibration re-anchors at the
-        // snapshot the repaired vector now reflects.
-        entry = CacheEntry(
-            utility_->ApplyEdgeDelta(*snap.graph, window.front(), user,
-                                     entry.utilities, shard.workspace),
-            sensitivity, shard.index_scratch);
-        ++shard.stats.cache_hits;
-        ++shard.stats.delta_patched;
-      } else if (utility_->SupportsIncrementalBatch() &&
-                 window.size() <= options_.max_patch_window) {
-        // Sequential multi-delta patching: the whole window is spliced in
-        // one pass against the post-window snapshot (ApplyEdgeDeltaBatch
-        // honors the same exact-equality contract) — cheaper than a
-        // recompute as long as the window stays narrow.
-        entry = CacheEntry(
-            utility_->ApplyEdgeDeltaBatch(*snap.graph, window, user,
-                                          entry.utilities, shard.workspace),
-            sensitivity, shard.index_scratch);
-        ++shard.stats.cache_hits;
-        ++shard.stats.delta_patched;
-      } else {
-        // Capability-gated fallback: a utility that patches single deltas
-        // but not windows — or a window past the patch/recompute
-        // crossover (max_patch_window) — recomputes, still touching no
-        // other entry.
-        entry = CacheEntry(
-            utility_->Compute(*snap.graph, user, shard.workspace),
-            sensitivity, shard.index_scratch);
-        ++shard.stats.cache_misses;
-        ++shard.stats.delta_recomputed;
-      }
+      entry = CacheEntry(utility_->Compute(*snap.graph, user, shard.workspace),
+                         sensitivity, shard.index_scratch);
       shard.stats.repair_ns +=
           static_cast<uint64_t>(repair_watch.ElapsedSeconds() * 1e9);
+      ++shard.stats.cache_misses;
+      ++shard.stats.delta_recomputed;
       return;
     }
     ++shard.stats.journal_fallbacks;
@@ -782,32 +730,42 @@ double RecommendationService::WindowSpent(NodeId user) const {
   return it == shard.accountants.end() ? 0.0 : it->second.window_spent();
 }
 
+ServiceStats& ServiceStats::operator+=(const ServiceStats& other) {
+  // Every field is a uint64_t counter; a field added without a line here
+  // fails this check instead of silently dropping out of every sum.
+  static_assert(sizeof(ServiceStats) == 22 * sizeof(uint64_t),
+                "ServiceStats::operator+= must add every counter");
+  served += other.served;
+  refused_budget += other.refused_budget;
+  cache_hits += other.cache_hits;
+  cache_misses += other.cache_misses;
+  cache_invalidations += other.cache_invalidations;
+  sampler_reuses += other.sampler_reuses;
+  audit_serves += other.audit_serves;
+  audit_list_serves += other.audit_list_serves;
+  delta_kept += other.delta_kept;
+  delta_patched += other.delta_patched;
+  delta_recomputed += other.delta_recomputed;
+  journal_fallbacks += other.journal_fallbacks;
+  doomed_evictions += other.doomed_evictions;
+  repair_ns += other.repair_ns;
+  refused_window += other.refused_window;
+  degraded_serves += other.degraded_serves;
+  window_refreshes += other.window_refreshes;
+  shed_overload += other.shed_overload;
+  retries += other.retries;
+  stale_fallback_serves += other.stale_fallback_serves;
+  injected_faults += other.injected_faults;
+  ledger_appends += other.ledger_appends;
+  return *this;
+}
+
 ServiceStats RecommendationService::stats() const {
   ServiceStats total;
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mu);
-    total.served += shard.stats.served;
-    total.refused_budget += shard.stats.refused_budget;
-    total.cache_hits += shard.stats.cache_hits;
-    total.cache_misses += shard.stats.cache_misses;
-    total.cache_invalidations += shard.stats.cache_invalidations;
-    total.sampler_reuses += shard.stats.sampler_reuses;
-    total.audit_serves += shard.stats.audit_serves;
-    total.audit_list_serves += shard.stats.audit_list_serves;
-    total.delta_kept += shard.stats.delta_kept;
-    total.delta_patched += shard.stats.delta_patched;
-    total.delta_recomputed += shard.stats.delta_recomputed;
-    total.journal_fallbacks += shard.stats.journal_fallbacks;
-    total.doomed_evictions += shard.stats.doomed_evictions;
-    total.filter_dropped_deltas += shard.stats.filter_dropped_deltas;
-    total.repair_ns += shard.stats.repair_ns;
-    total.refused_window += shard.stats.refused_window;
-    total.degraded_serves += shard.stats.degraded_serves;
-    total.window_refreshes += shard.stats.window_refreshes;
-    total.stale_fallback_serves += shard.stats.stale_fallback_serves;
-    total.injected_faults += shard.stats.injected_faults;
-    total.ledger_appends += shard.stats.ledger_appends;
+    total += shard.stats;
     total.shed_overload +=
         shard.shed_overload.load(std::memory_order_relaxed);
     total.retries += shard.retries.load(std::memory_order_relaxed);

@@ -42,32 +42,15 @@ struct ServiceOptions {
   /// overloads. Two services with equal seeds (and equal shard counts)
   /// serve identical sequences for identical call sequences.
   uint64_t seed = 0x5eedf00dULL;
-  /// Delta-patched cache repair (see class comment): when the graph moved
-  /// under a cached entry, drain the edge-delta journal and keep/patch the
-  /// entry instead of recomputing, provided the utility supports
-  /// incremental updates. Disabled, every version change costs each cached
-  /// entry a full recompute on its next serve — the pre-incremental
-  /// baseline path, kept reachable for benchmarks
-  /// (bench/mutation_serving.cc) and differential tests.
+  /// Keep-or-recompute cache repair (see class comment): when the graph
+  /// moved under a cached entry, drain the edge-delta journal and keep the
+  /// entry — frozen sampler and all — if the utility's exact keep test
+  /// (UtilityFunction::EdgeDeltaWindowAffects) clears the window; only an
+  /// entry the window can change is recomputed. Requires a utility with
+  /// SupportsIncrementalUpdate(). Disabled, every version change costs
+  /// each cached entry a full recompute on its next serve — the baseline
+  /// path the differential tests compare against.
   bool enable_delta_repair = true;
-  /// Widest journal window repaired via ApplyEdgeDeltaBatch; wider windows
-  /// recompute the affected entry instead. The window patch walks every
-  /// net-changed intermediate, so its cost grows with the window, while a
-  /// 2-hop recompute is flat — for an entry that lagged hundreds of
-  /// toggles behind, recomputing is the cheaper exact repair. Single-delta
-  /// patches are unaffected. With enable_affect_filter this bounds
-  /// RELEVANT deltas (post-filter), not raw window width.
-  size_t max_patch_window = 32;
-  /// Affect-filtered window patching: before dispatching a repair, the
-  /// drained window is filtered down to the deltas that can matter for
-  /// THIS target (UtilityFunction::FilterAffectingWindow — exactness
-  /// contract there), so an entry behind a wide window of mostly-elsewhere
-  /// writes is patched in O(deltas touching its neighborhood) instead of
-  /// falling off the max_patch_window cliff into a full recompute.
-  /// Disabled, repair dispatches on raw window width — the PR 5 behavior,
-  /// kept reachable for differential tests and the skewed-write bench
-  /// contrast (bench/mutation_serving.cc).
-  bool enable_affect_filter = true;
   /// Which neighboring relation the service's DP guarantee is stated
   /// against (core/privacy_accountant.h). kEdge (default): neighbors
   /// differ in one edge; every release runs on the raw snapshot and
@@ -131,9 +114,9 @@ struct ServiceStats {
   uint64_t cache_misses = 0;
   /// Cached entries whose vector had to be rebuilt from scratch because
   /// journal repair was unavailable (repair disabled, non-incremental
-  /// utility, or journal fallback). Counted when the stale entry is
+  /// utility, kNode, or journal fallback). Counted when the stale entry is
   /// visited, which is when the pre-incremental design would have erased
-  /// it.
+  /// it; also counted in cache_misses.
   uint64_t cache_invalidations = 0;
   /// Cache hits that could reuse the frozen sampler as-is (no sensitivity
   /// drift since it was built).
@@ -144,24 +127,18 @@ struct ServiceStats {
   /// List releases performed by ServeListForAudit (same contract as
   /// audit_serves: not in `served`, budget-neutral).
   uint64_t audit_list_serves = 0;
-  /// Delta-repair outcomes for cached entries visited after the graph
-  /// version moved (each stale visit lands in exactly one of these four,
-  /// or in cache_invalidations when repair was not attempted):
-  /// journal drained, entry unaffected by every delta — kept as-is,
-  /// frozen sampler and all (the O(1) survival path).
+  /// Repair outcomes for cached entries visited after the graph version
+  /// moved. Each stale visit takes one route: delta_kept, delta_recomputed,
+  /// or the fallback recompute (cache_invalidations, plus
+  /// journal_fallbacks when the journal could not cover the window).
+  /// Journal drained, entry unaffected by every delta — kept as-is,
+  /// frozen sampler and all (the O(1) survival path); counted as a hit.
   uint64_t delta_kept = 0;
-  /// Affected by the drained window — repaired through the ApplyEdgeDelta
-  /// contract: one delta via UtilityFunction::ApplyEdgeDelta, a
-  /// multi-delta window in one pass via ApplyEdgeDeltaBatch (counted here
-  /// too; both honor the exact-equality contract). Usually O(Δ); a
-  /// utility may internally choose a recompute where patching cannot be
-  /// exact (directed Jaccard — see link_predictors.h), which still lands
-  /// here: the counter tracks the repair route, not its cost.
+  /// Always 0: repair keeps or recomputes and never patches a vector. The
+  /// field stays because perfbench's traced report reads it.
   uint64_t delta_patched = 0;
-  /// Affected by a multi-delta window that could not (no batch support)
-  /// or should not (wider than ServiceOptions::max_patch_window — the
-  /// patch/recompute crossover) be patched — recomputed, but cheaper than
-  /// a fallback: only affected entries pay.
+  /// Affected by the drained window — that one entry is recomputed against
+  /// the pinned snapshot; no other entry pays. Counted as a miss.
   uint64_t delta_recomputed = 0;
   /// Journal could not cover the window (ring compaction or AddNode):
   /// the visit fell back to the full-recompute path. Journal-aware
@@ -173,19 +150,11 @@ struct ServiceStats {
   /// passed their version (they could never be delta-repaired; their next
   /// visit would have been a journal_fallback recompute anyway).
   uint64_t doomed_evictions = 0;
-  /// Deltas dropped by the per-target affect filter
-  /// (ServiceOptions::enable_affect_filter) across all repairs: the gap
-  /// between raw drained-window width and what the patches actually had
-  /// to process. High values under write-heavy traffic are the filter
-  /// doing its job (most writes miss most targets' neighborhoods).
-  uint64_t filter_dropped_deltas = 0;
-  /// Wall time spent inside affected-entry repairs (the affect filter plus
-  /// the patch or recompute that follows it, support-index rebuild
-  /// included; delta_patched + delta_recomputed events). Keeps the repair
-  /// path's cost observable without timing every serve: kept entries and
-  /// sampler work are excluded, so repair_ns / (delta_patched +
-  /// delta_recomputed) is the average price of a repair under the current
-  /// traffic.
+  /// Wall time spent recomputing affected entries (delta_recomputed
+  /// events, support-index rebuild included). Keeps the repair path's cost
+  /// observable without timing every serve: kept entries and sampler work
+  /// are excluded, so repair_ns / delta_recomputed is the average price of
+  /// a repair under the current traffic.
   uint64_t repair_ns = 0;
   /// Serves refused because the user's current budget WINDOW was
   /// exhausted while the lifetime budget still had room
@@ -230,6 +199,10 @@ struct ServiceStats {
   /// completed since the ledger was attached, except when a crash landed
   /// between the append and the release.
   uint64_t ledger_appends = 0;
+
+  /// Adds every counter of `other`: the one place the fields are listed
+  /// for summing (shards in stats(), both sides of an audit).
+  ServiceStats& operator+=(const ServiceStats& other);
 };
 
 /// The production wrapper a deployment would put around this library:
@@ -249,27 +222,25 @@ struct ServiceStats {
 /// DynamicGraph — O(1), no cache sweep; the graph's edge-delta journal
 /// carries the history. A cached entry whose version lags the shard's
 /// pinned snapshot is repaired lazily on its next visit by draining the
-/// journal between the two stamps:
-///  - unaffected by every drained delta (checked per delta against the
-///    post-batch snapshot, via the utility's own EdgeDeltaAffects test —
-///    Jaccard widens the structural rule by the cached support) → kept
+/// journal between the two stamps, and then kept or recomputed:
+///  - keep: the utility's exact keep test (EdgeDeltaWindowAffects,
+///    evaluated over the whole window against the post-window snapshot —
+///    Jaccard widens the structural rule by the cached support, Katz and
+///    PPR test their walk cone) clears the window → the entry is kept
 ///    wholesale, frozen sampler and support index included: a cache-hit
 ///    serve after an unrelated toggle stays one O(1) alias draw plus, for
 ///    a zero-block pick, one O(log s) resolution (see Fast path);
-///  - affected by one delta → patched via UtilityFunction::ApplyEdgeDelta;
-///    affected by a multi-delta window → patched in ONE pass against the
-///    post-window snapshot via ApplyEdgeDeltaBatch (both O(Δ), both under
-///    the exact-equality contract), sampler re-frozen and calibration
-///    re-anchored at the new snapshot's Δf;
-///  - multi-delta window under a utility without batch support
-///    (SupportsIncrementalBatch() == false), journal compacted past the
-///    entry's version, AddNode in the window, repair disabled, or utility
-///    without incremental support → full recompute of that entry (the
-///    baseline path), still touching no other entry.
+///  - recompute: the window can change the vector → that one entry is
+///    recomputed against the snapshot, its sampler re-frozen on demand and
+///    its calibration re-anchored at the snapshot's Δf;
+///  - fallback: journal compacted past the entry's version, AddNode in the
+///    window, an injected kRepairFail, repair disabled, kNode, or a
+///    utility without incremental support → full recompute of that entry
+///    (the baseline path), still touching no other entry.
 /// Eviction is journal-aware: at capacity, entries the journal floor
 /// already passed (never again repairable) are purged first; LRU applies
 /// only when every entry is still repairable.
-/// Every repaired (or kept) entry's vector equals a fresh Compute against
+/// Every kept or recomputed entry's vector equals a fresh Compute against
 /// the pinned snapshot, so each release stays ε-DP calibrated to the
 /// graph state it reflects; the calibration ratchet still covers
 /// sensitivity drift for kept entries.
@@ -399,11 +370,10 @@ class RecommendationService {
   struct CacheEntry {
     /// A fresh entry for `utilities`, calibrated at `sensitivity`, with no
     /// sampler frozen yet. The only place a support index is built: every
-    /// route that replaces a cached vector (miss, single-delta patch,
-    /// window patch, recompute, journal fallback, the kNode per-version
-    /// recompute) assigns a newly constructed entry, so `support` always
-    /// indexes `utilities`; a kept entry keeps both. `scratch` is the index
-    /// sort's buffer.
+    /// route that replaces a cached vector (miss, recompute of an affected
+    /// entry, journal fallback, the kNode per-version recompute) assigns a
+    /// newly constructed entry, so `support` always indexes `utilities`; a
+    /// kept entry keeps both. `scratch` is the index sort's buffer.
     CacheEntry(UtilityVector vec, double sensitivity,
                std::vector<NodeId>& scratch)
         : utilities(std::move(vec)),
@@ -449,11 +419,8 @@ class RecommendationService {
     std::unordered_map<NodeId, uint32_t> slot_of;
     std::unordered_map<NodeId, PrivacyAccountant> accountants;
     UtilityWorkspace workspace;
-    /// Reusable buffer for the affect-filtered window (RepairEntryLocked);
-    /// shard-local like the workspace, so steady-state repairs allocate
-    /// nothing.
-    std::vector<EdgeDelta> filtered;
-    /// Radix-sort buffer for CacheEntry's support index (same reasoning).
+    /// Radix-sort buffer for CacheEntry's support index; shard-local like
+    /// the workspace, so steady-state index builds allocate nothing.
     std::vector<NodeId> index_scratch;
     /// The shard's private randomness stream (Rng-less overloads).
     Rng rng;
@@ -525,8 +492,8 @@ class RecommendationService {
                                      double sensitivity, bool need_sampler);
 
   /// Brings an entry whose `version` lags `snap` up to date: journal-drain
-  /// keep/patch when possible, full recompute otherwise (see the class
-  /// comment). Updates the delta_* / cache_* stats; the caller restamps
+  /// keep when the window cannot change it, recompute otherwise (see the
+  /// class comment). Updates the delta_* / cache_* stats; the caller restamps
   /// the slot. Caller holds `shard.mu`.
   void RepairEntryLocked(Shard& shard, NodeId user,
                          const DynamicGraph::StampedSnapshot& snap,

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "graph/traversal.h"
-#include "utility/incremental.h"
 #include "utility/two_hop_kernels.h"
 
 namespace privrec {
@@ -17,22 +15,6 @@ UtilityVector AdamicAdarUtility::Compute(const CsrGraph& graph, NodeId target,
   return ComputeTwoHopUtility(graph, target, workspace,
                               &InverseLogDegreeWeight,
                               /*constant_weight=*/false);
-}
-
-UtilityVector AdamicAdarUtility::ApplyEdgeDelta(
-    const CsrGraph& graph, const EdgeDelta& delta, NodeId target,
-    const UtilityVector& cached, UtilityWorkspace& workspace) const {
-  return PatchTwoHopUtility(graph, delta, target, cached, workspace,
-                            &InverseLogDegreeWeight,
-                            /*constant_weight=*/false);
-}
-
-UtilityVector AdamicAdarUtility::ApplyEdgeDeltaBatch(
-    const CsrGraph& graph, std::span<const EdgeDelta> deltas, NodeId target,
-    const UtilityVector& cached, UtilityWorkspace& workspace) const {
-  return PatchTwoHopUtilityBatch(graph, deltas, target, cached, workspace,
-                                 &InverseLogDegreeWeight,
-                                 /*constant_weight=*/false);
 }
 
 double AdamicAdarUtility::SensitivityBound(const CsrGraph& graph) const {

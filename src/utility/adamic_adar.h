@@ -9,9 +9,8 @@
 namespace privrec {
 
 /// Adamic-Adar's per-intermediate weight, clamped so degree-1
-/// intermediates (ln 1 = 0) contribute the max weight. Shared between
-/// Compute and the incremental patch path, which must cancel terms
-/// bit-for-bit against what Compute accumulated.
+/// intermediates (ln 1 = 0) contribute the max weight. Compute's 2-hop
+/// kernel and SensitivityBound's degree-shift term both evaluate it.
 inline double InverseLogDegreeWeight(uint32_t degree) {
   return 1.0 / std::log(std::max<uint32_t>(degree, 2));
 }
@@ -29,23 +28,9 @@ class AdamicAdarUtility : public UtilityFunction {
   UtilityVector Compute(const CsrGraph& graph, NodeId target,
                         UtilityWorkspace& workspace) const override;
 
-  /// Incremental patching: count patch for the toggled common-neighbor
-  /// term plus a degree-weight reweighting of every surviving path
-  /// through the toggled endpoints (their degree moved by one). Scores
-  /// match a fresh Compute to within float-rounding dust; the support
-  /// matches exactly (see utility/incremental.h).
+  /// The structural keep test (EdgeDeltaAffectsTarget) is exact for this
+  /// Σ weight(deg(intermediate)) utility.
   bool SupportsIncrementalUpdate() const override { return true; }
-  UtilityVector ApplyEdgeDelta(const CsrGraph& graph, const EdgeDelta& delta,
-                               NodeId target, const UtilityVector& cached,
-                               UtilityWorkspace& workspace) const override;
-
-  /// Multi-delta windows patch in one pass (support-exact; see
-  /// PatchTwoHopUtilityBatch).
-  bool SupportsIncrementalBatch() const override { return true; }
-  UtilityVector ApplyEdgeDeltaBatch(const CsrGraph& graph,
-                                    std::span<const EdgeDelta> deltas,
-                                    NodeId target, const UtilityVector& cached,
-                                    UtilityWorkspace& workspace) const override;
 
   /// One non-target edge contributes, per orientation, (a) one new
   /// common-neighbor term worth at most 1/ln 2 and (b) a degree shift of

@@ -1,7 +1,5 @@
 #include "utility/common_neighbors.h"
 
-#include "graph/traversal.h"
-#include "utility/incremental.h"
 #include "utility/two_hop_kernels.h"
 
 namespace privrec {
@@ -18,20 +16,6 @@ UtilityVector CommonNeighborsUtility::Compute(
   // bitmap finalize.
   return ComputeTwoHopUtility(graph, target, workspace, &UnitWeight,
                               /*constant_weight=*/true);
-}
-
-UtilityVector CommonNeighborsUtility::ApplyEdgeDelta(
-    const CsrGraph& graph, const EdgeDelta& delta, NodeId target,
-    const UtilityVector& cached, UtilityWorkspace& workspace) const {
-  return PatchTwoHopUtility(graph, delta, target, cached, workspace,
-                            &UnitWeight, /*constant_weight=*/true);
-}
-
-UtilityVector CommonNeighborsUtility::ApplyEdgeDeltaBatch(
-    const CsrGraph& graph, std::span<const EdgeDelta> deltas, NodeId target,
-    const UtilityVector& cached, UtilityWorkspace& workspace) const {
-  return PatchTwoHopUtilityBatch(graph, deltas, target, cached, workspace,
-                                 &UnitWeight, /*constant_weight=*/true);
 }
 
 double CommonNeighborsUtility::SensitivityBound(const CsrGraph& graph) const {

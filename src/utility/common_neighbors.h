@@ -19,21 +19,9 @@ class CommonNeighborsUtility : public UtilityFunction {
   UtilityVector Compute(const CsrGraph& graph, NodeId target,
                         UtilityWorkspace& workspace) const override;
 
-  /// Incremental patching: pure ±1 count patches on integer-valued
-  /// scores — the patched vector is bitwise-identical to a fresh Compute
-  /// on the post-delta graph (see utility/incremental.h).
+  /// The structural keep test (EdgeDeltaAffectsTarget) is exact for this
+  /// Σ weight(deg(intermediate)) utility.
   bool SupportsIncrementalUpdate() const override { return true; }
-  UtilityVector ApplyEdgeDelta(const CsrGraph& graph, const EdgeDelta& delta,
-                               NodeId target, const UtilityVector& cached,
-                               UtilityWorkspace& workspace) const override;
-
-  /// Multi-delta windows patch in one pass too (still bitwise: every
-  /// window adjustment is ±1 on small integers).
-  bool SupportsIncrementalBatch() const override { return true; }
-  UtilityVector ApplyEdgeDeltaBatch(const CsrGraph& graph,
-                                    std::span<const EdgeDelta> deltas,
-                                    NodeId target, const UtilityVector& cached,
-                                    UtilityWorkspace& workspace) const override;
 
   /// Relaxed edge DP: an edge (x,y) with x,y != r changes C(y,r) by one if
   /// x ~ r and C(x,r) by one if y ~ r, so Δf = 2 (1 on directed graphs,

@@ -9,7 +9,6 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "graph/traversal.h"
-#include "utility/incremental.h"
 #include "utility/two_hop_kernels.h"
 
 namespace privrec {
@@ -76,27 +75,6 @@ UtilityVector JaccardUtility::Compute(const CsrGraph& graph, NodeId target,
   return UtilityVector(target, num_candidates, nonzero);
 }
 
-UtilityVector JaccardUtility::ApplyEdgeDelta(
-    const CsrGraph& graph, const EdgeDelta& delta, NodeId target,
-    const UtilityVector& cached, UtilityWorkspace& workspace) const {
-  // Directed graphs recompute: the uni > 0 guard in Compute suppresses
-  // candidates with out-degree 0 and full intersection (uni = d_r - I =
-  // 0), and those hidden candidates can surface later (d_r or I moved) —
-  // a cached-support patch cannot resurrect what the cache never stored.
-  // Undirected graphs cannot hide support (uni >= max(d_r, d_i) >= 1
-  // whenever I > 0), so they take the bitwise O(Δ) patch.
-  if (graph.directed()) return Compute(graph, target, workspace);
-  return PatchJaccardUtility(graph, std::span<const EdgeDelta>(&delta, 1),
-                             target, cached, workspace);
-}
-
-UtilityVector JaccardUtility::ApplyEdgeDeltaBatch(
-    const CsrGraph& graph, std::span<const EdgeDelta> deltas, NodeId target,
-    const UtilityVector& cached, UtilityWorkspace& workspace) const {
-  if (graph.directed()) return Compute(graph, target, workspace);
-  return PatchJaccardUtility(graph, deltas, target, cached, workspace);
-}
-
 bool JaccardUtility::EdgeDeltaAffects(const CsrGraph& graph,
                                       const EdgeDelta& delta, NodeId target,
                                       const UtilityVector& cached) const {
@@ -116,14 +94,13 @@ bool JaccardUtility::EdgeDeltaWindowAffects(const CsrGraph& graph,
     if (!graph.directed() && HasPositiveEntry(cached, delta.v)) return true;
   }
   if (!graph.directed()) return false;
-  // Directed hidden-support case (see ApplyEdgeDelta): a tail whose
-  // out-degree was ZERO before the window can hide a full-intersection
-  // candidate behind Compute's uni > 0 guard (uni = d_r + 0 - I = 0
-  // forces I = d_r), and any arc it gained can surface that candidate —
-  // cached support cannot witness it. The pre-window degree is the
-  // post-batch degree minus the window's net arc changes per tail; a lone
-  // post-batch OutDegree test would miss a tail that left zero in several
-  // steps.
+  // Directed hidden-support case: a tail whose out-degree was ZERO before
+  // the window can hide a full-intersection candidate behind Compute's
+  // uni > 0 guard (uni = d_r + 0 - I = 0 forces I = d_r), and any arc it
+  // gained can surface that candidate — cached support cannot witness it.
+  // The pre-window degree is the post-batch degree minus the window's net
+  // arc changes per tail; a lone post-batch OutDegree test would miss a
+  // tail that left zero in several steps.
   //
   // Narrowed per target (ISSUE 6 — the old target-independent form
   // flagged EVERY cached entry whenever any sink node toggled, turning
@@ -143,29 +120,6 @@ bool JaccardUtility::EdgeDeltaWindowAffects(const CsrGraph& graph,
     if (TwoHopReaches(graph, target, tail)) return true;
   }
   return false;
-}
-
-void JaccardUtility::FilterAffectingWindow(const CsrGraph& graph,
-                                           std::span<const EdgeDelta> deltas,
-                                           NodeId target,
-                                           const UtilityVector& cached,
-                                           std::vector<EdgeDelta>& out) const {
-  if (graph.directed()) {
-    // Directed repairs recompute regardless (see ApplyEdgeDelta), so
-    // filtering buys nothing and the hidden-support dependence is not
-    // per-delta separable — keep the whole window.
-    out.insert(out.end(), deltas.begin(), deltas.end());
-    return;
-  }
-  // Union-term dependence: every cached score reads its candidate's
-  // degree, and the patch engine nets PRE-window degrees from the window
-  // — so any delta touching a support node must survive the filter, on
-  // top of the structural ever-neighborhood rule.
-  std::vector<NodeId> support;
-  support.reserve(cached.nonzero().size());
-  for (const UtilityEntry& e : cached.nonzero()) support.push_back(e.node);
-  std::sort(support.begin(), support.end());
-  FilterAffectingDeltas(graph, deltas, target, support, out);
 }
 
 double JaccardUtility::SensitivityBound(const CsrGraph& graph) const {
@@ -223,22 +177,6 @@ UtilityVector ResourceAllocationUtility::Compute(
                               /*constant_weight=*/false);
 }
 
-UtilityVector ResourceAllocationUtility::ApplyEdgeDelta(
-    const CsrGraph& graph, const EdgeDelta& delta, NodeId target,
-    const UtilityVector& cached, UtilityWorkspace& workspace) const {
-  return PatchTwoHopUtility(graph, delta, target, cached, workspace,
-                            &InverseDegreeWeight,
-                            /*constant_weight=*/false);
-}
-
-UtilityVector ResourceAllocationUtility::ApplyEdgeDeltaBatch(
-    const CsrGraph& graph, std::span<const EdgeDelta> deltas, NodeId target,
-    const UtilityVector& cached, UtilityWorkspace& workspace) const {
-  return PatchTwoHopUtilityBatch(graph, deltas, target, cached, workspace,
-                                 &InverseDegreeWeight,
-                                 /*constant_weight=*/false);
-}
-
 double ResourceAllocationUtility::SensitivityBound(
     const CsrGraph& graph) const {
   return graph.directed() ? 1.0 : 2.0;
@@ -289,27 +227,6 @@ UtilityVector KatzUtility::Compute(const CsrGraph& graph, NodeId target,
   return FinalizeUtilityScores(graph, target, scores, workspace);
 }
 
-UtilityVector KatzUtility::ApplyEdgeDelta(const CsrGraph& graph,
-                                          const EdgeDelta& delta,
-                                          NodeId target,
-                                          const UtilityVector& cached,
-                                          UtilityWorkspace& workspace) const {
-  if (!WindowWithinWalkCone(graph, std::span<const EdgeDelta>(&delta, 1),
-                            target, max_length_ - 1)) {
-    return cached;
-  }
-  return Compute(graph, target, workspace);
-}
-
-UtilityVector KatzUtility::ApplyEdgeDeltaBatch(
-    const CsrGraph& graph, std::span<const EdgeDelta> deltas, NodeId target,
-    const UtilityVector& cached, UtilityWorkspace& workspace) const {
-  if (!WindowWithinWalkCone(graph, deltas, target, max_length_ - 1)) {
-    return cached;
-  }
-  return Compute(graph, target, workspace);
-}
-
 bool KatzUtility::EdgeDeltaAffects(const CsrGraph& graph,
                                    const EdgeDelta& delta, NodeId target,
                                    const UtilityVector& /*cached*/) const {
@@ -326,14 +243,6 @@ bool KatzUtility::EdgeDeltaWindowAffects(
   // intermediate state at the cost of a single cone traversal, instead of
   // the default's per-delta OR.
   return WindowWithinWalkCone(graph, deltas, target, max_length_ - 1);
-}
-
-void KatzUtility::FilterAffectingWindow(const CsrGraph& /*graph*/,
-                                        std::span<const EdgeDelta> deltas,
-                                        NodeId /*target*/,
-                                        const UtilityVector& /*cached*/,
-                                        std::vector<EdgeDelta>& out) const {
-  out.insert(out.end(), deltas.begin(), deltas.end());
 }
 
 double KatzUtility::SensitivityBound(const CsrGraph& graph) const {

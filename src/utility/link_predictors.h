@@ -22,26 +22,9 @@ class JaccardUtility : public UtilityFunction {
   UtilityVector Compute(const CsrGraph& graph, NodeId target,
                         UtilityWorkspace& workspace) const override;
 
-  /// Incremental patching (PatchJaccardUtility): the union-size term is
-  /// maintained alongside the intersection — the integer intersection is
-  /// recovered from each cached score against the pre-window degrees,
-  /// patched with the constant-weight count engine, and re-scored against
-  /// the post-window degrees with Compute's exact float expression, so
-  /// the patched vector is bitwise-identical to a fresh Compute.
-  /// Directed graphs can hide support behind Compute's uni > 0 guard
-  /// (zero-out-degree candidates with full intersection), which no
-  /// cached-support patch can resurrect — there, affected entries
-  /// recompute (exact, just not O(Δ)) while the keep path still rides the
-  /// widened affectedness test below.
+  /// The widened keep test below is exact, so cached entries it clears
+  /// are kept.
   bool SupportsIncrementalUpdate() const override { return true; }
-  bool SupportsIncrementalBatch() const override { return true; }
-  UtilityVector ApplyEdgeDelta(const CsrGraph& graph, const EdgeDelta& delta,
-                               NodeId target, const UtilityVector& cached,
-                               UtilityWorkspace& workspace) const override;
-  UtilityVector ApplyEdgeDeltaBatch(const CsrGraph& graph,
-                                    std::span<const EdgeDelta> deltas,
-                                    NodeId target, const UtilityVector& cached,
-                                    UtilityWorkspace& workspace) const override;
 
   /// Jaccard's scores depend on CANDIDATE degrees through the union term,
   /// so a toggle also reaches every target that scores an endpoint as a
@@ -51,7 +34,9 @@ class JaccardUtility : public UtilityFunction {
   /// endpoint with zero intersection keeps score exactly 0 under any
   /// denominator, so the widened test is still exact, not conservative.)
   /// On directed graphs an extra clause flags toggles that may surface
-  /// hidden support (see ApplyEdgeDelta).
+  /// hidden support: Compute's uni > 0 guard suppresses a zero-out-degree
+  /// candidate with full intersection, which the cached support cannot
+  /// witness.
   bool EdgeDeltaAffects(const CsrGraph& graph, const EdgeDelta& delta,
                         NodeId target,
                         const UtilityVector& cached) const override;
@@ -65,15 +50,6 @@ class JaccardUtility : public UtilityFunction {
                               std::span<const EdgeDelta> deltas,
                               NodeId target,
                               const UtilityVector& cached) const override;
-
-  /// Widens the structural affect filter by the cached support (the
-  /// union-term dependence: the patch engine nets support nodes'
-  /// pre-window degrees from the window, so their deltas must survive).
-  /// Directed graphs keep the whole window (repairs recompute anyway).
-  void FilterAffectingWindow(const CsrGraph& graph,
-                             std::span<const EdgeDelta> deltas, NodeId target,
-                             const UtilityVector& cached,
-                             std::vector<EdgeDelta>& out) const override;
 
   /// One edge toggle moves the intersection by <= 1 and the union by <= 1
   /// for up to two affected candidates, each term bounded by 1 (Jaccard is
@@ -128,16 +104,8 @@ class ResourceAllocationUtility : public UtilityFunction {
                         UtilityWorkspace& workspace) const override;
 
   /// Same two-hop weighted-count shape as Adamic-Adar (weight 1/deg), so
-  /// the shared patch engine applies unchanged — single- and multi-delta.
+  /// the structural keep test (EdgeDeltaAffectsTarget) is exact.
   bool SupportsIncrementalUpdate() const override { return true; }
-  bool SupportsIncrementalBatch() const override { return true; }
-  UtilityVector ApplyEdgeDelta(const CsrGraph& graph, const EdgeDelta& delta,
-                               NodeId target, const UtilityVector& cached,
-                               UtilityWorkspace& workspace) const override;
-  UtilityVector ApplyEdgeDeltaBatch(const CsrGraph& graph,
-                                    std::span<const EdgeDelta> deltas,
-                                    NodeId target, const UtilityVector& cached,
-                                    UtilityWorkspace& workspace) const override;
 
   /// New common-neighbor term <= 1/1 = 1 (clamped at degree 1... degree of
   /// an intermediate on a path is >= 2 after the toggle, so <= 1/2);
@@ -167,22 +135,9 @@ class KatzUtility : public UtilityFunction {
   /// Incremental maintenance via the truncated-walk cone: a toggle whose
   /// changed out-list no length-<=(L-1) walk from the target can read
   /// provably leaves the vector untouched (WindowWithinWalkCone in
-  /// utility/incremental.h — the keep test is exact, so far-away toggles
-  /// stop invalidating cached entries). Affected entries recompute inside
-  /// the patch route: per-level walk counts are not recoverable from the
-  /// cached scores (one float per candidate, L unknowns), so no O(Δ)
-  /// numeric splice can reproduce Compute's accumulation — the same
-  /// recompute-internally contract directed Jaccard repairs use. Results
-  /// are trivially bitwise-identical to a fresh Compute.
+  /// graph/edge_delta.h — the keep test is exact, so far-away toggles
+  /// stop invalidating cached entries). Affected entries recompute.
   bool SupportsIncrementalUpdate() const override { return true; }
-  bool SupportsIncrementalBatch() const override { return true; }
-  UtilityVector ApplyEdgeDelta(const CsrGraph& graph, const EdgeDelta& delta,
-                               NodeId target, const UtilityVector& cached,
-                               UtilityWorkspace& workspace) const override;
-  UtilityVector ApplyEdgeDeltaBatch(const CsrGraph& graph,
-                                    std::span<const EdgeDelta> deltas,
-                                    NodeId target, const UtilityVector& cached,
-                                    UtilityWorkspace& workspace) const override;
 
   /// Walk-cone test (depth L-1), replacing the structural 2-hop default
   /// which is wrong for a 3+-hop utility in BOTH directions (it would keep
@@ -195,15 +150,6 @@ class KatzUtility : public UtilityFunction {
                               std::span<const EdgeDelta> deltas,
                               NodeId target,
                               const UtilityVector& cached) const override;
-
-  /// Keeps the window intact: cone membership is a whole-window property
-  /// and the patch route recomputes, so dropping deltas buys nothing and
-  /// the structural default could unsoundly filter a 3-hop-affecting
-  /// window to empty.
-  void FilterAffectingWindow(const CsrGraph& graph,
-                             std::span<const EdgeDelta> deltas, NodeId target,
-                             const UtilityVector& cached,
-                             std::vector<EdgeDelta>& out) const override;
 
   /// Geometric series bound: a toggled edge can appear in at most
   /// L·d_max^{L-2} truncated walks per orientation, each weighted <= β²

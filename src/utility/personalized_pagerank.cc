@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "graph/traversal.h"
-#include "utility/incremental.h"
 
 namespace privrec {
 
@@ -73,25 +72,6 @@ double PersonalizedPageRankUtility::NodeSensitivityBound(
   return SensitivityBound(projected);
 }
 
-UtilityVector PersonalizedPageRankUtility::ApplyEdgeDelta(
-    const CsrGraph& graph, const EdgeDelta& delta, NodeId target,
-    const UtilityVector& cached, UtilityWorkspace& workspace) const {
-  if (!WindowWithinWalkCone(graph, std::span<const EdgeDelta>(&delta, 1),
-                            target, iterations_ - 1)) {
-    return cached;
-  }
-  return Compute(graph, target, workspace);
-}
-
-UtilityVector PersonalizedPageRankUtility::ApplyEdgeDeltaBatch(
-    const CsrGraph& graph, std::span<const EdgeDelta> deltas, NodeId target,
-    const UtilityVector& cached, UtilityWorkspace& workspace) const {
-  if (!WindowWithinWalkCone(graph, deltas, target, iterations_ - 1)) {
-    return cached;
-  }
-  return Compute(graph, target, workspace);
-}
-
 bool PersonalizedPageRankUtility::EdgeDeltaAffects(
     const CsrGraph& graph, const EdgeDelta& delta, NodeId target,
     const UtilityVector& /*cached*/) const {
@@ -106,13 +86,6 @@ bool PersonalizedPageRankUtility::EdgeDeltaWindowAffects(
     const CsrGraph& graph, std::span<const EdgeDelta> deltas, NodeId target,
     const UtilityVector& /*cached*/) const {
   return WindowWithinWalkCone(graph, deltas, target, iterations_ - 1);
-}
-
-void PersonalizedPageRankUtility::FilterAffectingWindow(
-    const CsrGraph& /*graph*/, std::span<const EdgeDelta> deltas,
-    NodeId /*target*/, const UtilityVector& /*cached*/,
-    std::vector<EdgeDelta>& out) const {
-  out.insert(out.end(), deltas.begin(), deltas.end());
 }
 
 double PersonalizedPageRankUtility::EdgeAlterationsT(

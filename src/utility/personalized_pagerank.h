@@ -44,22 +44,9 @@ class PersonalizedPageRankUtility : public UtilityFunction {
 
   /// Incremental maintenance via the push-cone keep test: a toggle whose
   /// changed out-list no mass can reach within `iterations` push rounds
-  /// provably leaves the vector untouched (WindowWithinWalkCone, depth
-  /// iterations-1). Affected entries recompute inside the patch route —
-  /// residual-bounded re-propagation needs per-node mass history that the
-  /// cached score vector does not retain (one float per candidate, all
-  /// rounds summed), so a numeric re-push could not reproduce Compute's
-  /// accumulation bitwise. Same recompute-internally contract as directed
-  /// Jaccard and Katz.
+  /// provably leaves the vector untouched (WindowWithinWalkCone in
+  /// graph/edge_delta.h, depth iterations-1). Affected entries recompute.
   bool SupportsIncrementalUpdate() const override { return true; }
-  bool SupportsIncrementalBatch() const override { return true; }
-  UtilityVector ApplyEdgeDelta(const CsrGraph& graph, const EdgeDelta& delta,
-                               NodeId target, const UtilityVector& cached,
-                               UtilityWorkspace& workspace) const override;
-  UtilityVector ApplyEdgeDeltaBatch(const CsrGraph& graph,
-                                    std::span<const EdgeDelta> deltas,
-                                    NodeId target, const UtilityVector& cached,
-                                    UtilityWorkspace& workspace) const override;
   bool EdgeDeltaAffects(const CsrGraph& graph, const EdgeDelta& delta,
                         NodeId target,
                         const UtilityVector& cached) const override;
@@ -67,13 +54,6 @@ class PersonalizedPageRankUtility : public UtilityFunction {
                               std::span<const EdgeDelta> deltas,
                               NodeId target,
                               const UtilityVector& cached) const override;
-
-  /// Keeps the window intact (cone membership is whole-window; the patch
-  /// route recomputes — see KatzUtility::FilterAffectingWindow).
-  void FilterAffectingWindow(const CsrGraph& graph,
-                             std::span<const EdgeDelta> deltas, NodeId target,
-                             const UtilityVector& cached,
-                             std::vector<EdgeDelta>& out) const override;
 
   /// Promotion argument as for common neighbors: wiring the promoted node
   /// to all of r's neighbors captures the bulk of 2-hop PPR mass; +2

@@ -49,13 +49,9 @@ SensitivityEstimate EstimateEdgeSensitivity(const CsrGraph& graph,
   const NodeId n = graph.num_nodes();
   if (n < 3) return estimate;
   // One perturbed-CSR materialization per sample is inherent — the
-  // utility needs post-toggle neighbor views, and ApplyEdgeDelta takes
-  // the post-delta graph. What the rewrite removes from the seed loop is
-  // everything else per sample: the second full utility traversal (the
-  // O(Δ) patch replaces it for incremental utilities), the throwaway
-  // workspace, and the hash-map diff accumulation.
+  // utility needs post-toggle neighbor views. The base vector, the
+  // workspace and the diff accumulator are shared across samples.
   const UtilityVector base = utility.Compute(graph, target, workspace);
-  const bool incremental = utility.SupportsIncrementalUpdate();
   double total = 0;
   size_t done = 0;
   size_t attempts = 0;
@@ -69,14 +65,8 @@ SensitivityEstimate EstimateEdgeSensitivity(const CsrGraph& graph,
     auto perturbed_graph =
         added ? WithEdgeAdded(graph, x, y) : WithEdgeRemoved(graph, x, y);
     if (!perturbed_graph.ok()) continue;
-    const EdgeDelta delta{x, y, added, /*version=*/0};
-    // The O(Δ) patch is exactly a fresh Compute on the perturbed graph
-    // (the incremental-update contract, pinned by the property suite), so
-    // both branches measure the same distance.
     const UtilityVector perturbed =
-        incremental ? utility.ApplyEdgeDelta(*perturbed_graph, delta, target,
-                                             base, workspace)
-                    : utility.Compute(*perturbed_graph, target, workspace);
+        utility.Compute(*perturbed_graph, target, workspace);
     const double l1 = UtilityVectorL1Distance(base, perturbed, workspace);
     estimate.max_l1 = std::max(estimate.max_l1, l1);
     total += l1;

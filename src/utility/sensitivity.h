@@ -19,8 +19,8 @@ struct SensitivityEstimate {
 /// L1 distance ||a - b||_1 between two utility vectors over the union of
 /// their nonzero supports, accumulated in a workspace counter (no per-call
 /// hash map). The vectors must address node ids the workspace's counters
-/// can hold (anything produced by a Compute/ApplyEdgeDelta that prepared
-/// this workspace qualifies).
+/// can hold (anything produced by a Compute that prepared this workspace
+/// qualifies).
 double UtilityVectorL1Distance(const UtilityVector& a, const UtilityVector& b,
                                UtilityWorkspace& workspace);
 
@@ -39,14 +39,12 @@ double UtilityL1Distance(const UtilityFunction& utility, const CsrGraph& a,
 /// if present) and measuring the L1 utility change. With `relaxed` (the
 /// paper's Section 3.2 variant) pairs incident to the target are skipped.
 ///
-/// The sampling loop computes the base vector once and derives each
-/// sample's perturbed vector through the utility's O(Δ) ApplyEdgeDelta
-/// when it supports incremental updates (full Compute otherwise); the
+/// The sampling loop computes the base vector once and each sample's
+/// perturbed vector with one Compute on a perturbed CSR (the CSR
+/// materialization already costs the same order as the traversal); the
 /// diff is accumulated in a workspace counter, not a per-sample hash
-/// map. One perturbed-CSR materialization per sample remains — the
-/// utility needs post-toggle neighbor views. The workspace overload
-/// additionally reuses the caller's scratch buffers; one workspace is
-/// reused across the whole loop either way.
+/// map. The workspace overload additionally reuses the caller's scratch
+/// buffers; one workspace is reused across the whole loop either way.
 ///
 /// The observed max is a *lower* bound on the true global sensitivity; the
 /// analytic SensitivityBound is an upper bound. Tests assert

@@ -11,9 +11,8 @@
 
 namespace privrec {
 
-/// Per-intermediate degree weight of a 2-hop utility (same alias as
-/// utility/incremental.h — redeclaring an identical alias is well-formed,
-/// and the two headers stay independently includable).
+/// Per-intermediate degree weight of a 2-hop utility, evaluated at an
+/// out-degree.
 using DegreeWeightFn = double (*)(uint32_t degree);
 
 /// How one sorted-list intersection is executed. The kernels pick a
@@ -54,8 +53,7 @@ inline uint32_t IntersectCount(std::span<const NodeId> a,
 /// Σ_{z ∈ a ∩ b} weight(out-deg(z)) with a forced strategy. Every strategy
 /// emits matches in ascending id order, so the float accumulation order —
 /// and therefore the result, bit for bit — is independent of the strategy
-/// and identical to the probe loop it replaces (utility/incremental.cc's
-/// per-candidate rebuild).
+/// and identical to a naive probe loop over the shorter list.
 double IntersectWeightedDegreeSum(const CsrGraph& graph,
                                   std::span<const NodeId> a,
                                   std::span<const NodeId> b,

@@ -72,55 +72,13 @@ class UtilityFunction {
   }
 
   /// Incremental-maintenance capability (see README "Incremental
-  /// maintenance"): true iff ApplyEdgeDelta is overridden with an O(Δ)
-  /// patch whose result is exactly equal to a fresh Compute on the
-  /// post-delta graph — same candidate count, same nonzero support, and
-  /// scores that are bitwise-identical for integer-valued utilities
-  /// (common neighbors) or equal to within float-rounding dust (the
-  /// degree-weighted family), which the patch engine rounds away so the
-  /// support can never differ. Utilities that cannot patch (the 3-hop
-  /// weighted-paths family) leave this false and are served through the
-  /// full-recompute path.
+  /// maintenance"): true iff EdgeDeltaWindowAffects is exact, so an entry
+  /// it clears may be kept. The serving cache then keeps every cached
+  /// vector a drained journal window cannot change and recomputes only the
+  /// ones it flags. Utilities without an exact test (the 3-hop
+  /// weighted-paths family) leave this false and recompute on every graph
+  /// change.
   virtual bool SupportsIncrementalUpdate() const { return false; }
-
-  /// Patches `cached` — the target's utility vector on the graph
-  /// immediately BEFORE `delta` — into the vector for the graph
-  /// immediately AFTER it. `graph` must be the post-delta snapshot.
-  /// The base implementation ignores the cache and recomputes (always
-  /// correct); overrides must honor the exact-equality contract above.
-  virtual UtilityVector ApplyEdgeDelta(const CsrGraph& graph,
-                                       const EdgeDelta& delta, NodeId target,
-                                       const UtilityVector& cached,
-                                       UtilityWorkspace& workspace) const {
-    (void)delta;
-    (void)cached;
-    return Compute(graph, target, workspace);
-  }
-
-  /// Multi-delta capability: true iff ApplyEdgeDeltaBatch is overridden
-  /// with a one-pass window patch honoring the same exact-equality
-  /// contract as ApplyEdgeDelta. Kept separate from
-  /// SupportsIncrementalUpdate so a utility can support single-delta
-  /// patches while still recomputing on multi-delta windows (the serving
-  /// cache falls back to a recompute for those — see
-  /// ServiceStats::delta_recomputed).
-  virtual bool SupportsIncrementalBatch() const { return false; }
-
-  /// Patches `cached` — the target's vector on the graph immediately
-  /// BEFORE the ordered journal window `deltas` — into the vector for the
-  /// graph AFTER the whole window, against the post-window snapshot only
-  /// (no intermediate graph states exist anymore; see
-  /// PatchTwoHopUtilityBatch in utility/incremental.h for how that stays
-  /// exact). The base implementation recomputes (always correct).
-  virtual UtilityVector ApplyEdgeDeltaBatch(const CsrGraph& graph,
-                                            std::span<const EdgeDelta> deltas,
-                                            NodeId target,
-                                            const UtilityVector& cached,
-                                            UtilityWorkspace& workspace) const {
-    (void)deltas;
-    (void)cached;
-    return Compute(graph, target, workspace);
-  }
 
   /// Whether `delta` can change the target's vector, given the cached
   /// pre-delta vector. The default is the structural 2-hop test
@@ -128,8 +86,8 @@ class UtilityFunction {
   /// Σ weight(deg(intermediate)) form; utilities whose scores also depend
   /// on CANDIDATE-side degrees (Jaccard's union term) must widen it —
   /// keeping an entry this test clears must be exactly as good as
-  /// patching it. Evaluated against the post-batch snapshot with the same
-  /// whole-window caveat as EdgeDeltaAffectsTarget.
+  /// recomputing it. Evaluated against the post-batch snapshot with the
+  /// same whole-window caveat as EdgeDeltaAffectsTarget.
   virtual bool EdgeDeltaAffects(const CsrGraph& graph, const EdgeDelta& delta,
                                 NodeId target,
                                 const UtilityVector& cached) const {
@@ -154,29 +112,40 @@ class UtilityFunction {
     return false;
   }
 
-  /// Affect-filtered window patching: appends to `out` the sub-window of
-  /// `deltas` (an ordered journal window, `graph` the post-window
-  /// snapshot) that can matter for `target`, preserving window order.
-  /// Contract: patching `cached` with the filtered window through
-  /// ApplyEdgeDelta / ApplyEdgeDeltaBatch must equal patching with the
-  /// full window — the filter may only drop deltas that touch no state
-  /// the utility's compute or patch engines read for this target. The
-  /// serving cache uses this so max_patch_window bounds RELEVANT deltas,
-  /// not raw window width (ServiceOptions::enable_affect_filter).
-  ///
-  /// The default is the structural ever-neighborhood filter
-  /// (FilterAffectingDeltas), exact for the Σ weight(deg(intermediate))
-  /// family; utilities whose scores read candidate-side state widen it
-  /// (Jaccard adds its cached support). Must stay consistent with
-  /// EdgeDeltaWindowAffects: a window that test flags must never filter
-  /// to empty.
+  /// Former patch hooks. No library code calls these four: cache repair
+  /// keeps or recomputes. They stay only because perfbench's tracing
+  /// wrapper (perfbench/trace.cc) overrides them, until a benchmark change
+  /// drops those overrides. The defaults recompute (ApplyEdgeDelta,
+  /// ApplyEdgeDeltaBatch), report no batch support, and append the whole
+  /// window (FilterAffectingWindow), which meets the filter's contract —
+  /// never drop a delta that can change the vector — trivially.
+  virtual UtilityVector ApplyEdgeDelta(const CsrGraph& graph,
+                                       const EdgeDelta& delta, NodeId target,
+                                       const UtilityVector& cached,
+                                       UtilityWorkspace& workspace) const {
+    (void)delta;
+    (void)cached;
+    return Compute(graph, target, workspace);
+  }
+  virtual bool SupportsIncrementalBatch() const { return false; }
+  virtual UtilityVector ApplyEdgeDeltaBatch(const CsrGraph& graph,
+                                            std::span<const EdgeDelta> deltas,
+                                            NodeId target,
+                                            const UtilityVector& cached,
+                                            UtilityWorkspace& workspace) const {
+    (void)deltas;
+    (void)cached;
+    return Compute(graph, target, workspace);
+  }
   virtual void FilterAffectingWindow(const CsrGraph& graph,
                                      std::span<const EdgeDelta> deltas,
                                      NodeId target,
                                      const UtilityVector& cached,
                                      std::vector<EdgeDelta>& out) const {
+    (void)graph;
+    (void)target;
     (void)cached;
-    FilterAffectingDeltas(graph, deltas, target, out);
+    out.insert(out.end(), deltas.begin(), deltas.end());
   }
 
   /// The paper's per-target edge-alteration count t used in Corollary 1:

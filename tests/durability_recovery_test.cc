@@ -679,6 +679,9 @@ TEST(AuditAcrossRecoveryTest, HonestServiceStaysCertifiedAcrossACleanCrash) {
       << "a clean crash/recover boundary leaked";
   EXPECT_GT(stats.ledger_appends, 0u)
       << "charged pre-crash traffic never reached the durable ledger";
+  // Every charged serve on either side appended exactly one ledger record
+  // (no crash landed between an append and its release).
+  EXPECT_EQ(stats.ledger_appends, stats.served);
 }
 
 TEST(AuditAcrossRecoveryTest, StaysCertifiedOnRecoverableCrashPoints) {

@@ -1,16 +1,14 @@
 // Incremental-maintenance suite (ctest label `incremental`): the
-// edge-delta journal and reverse-adjacency index on DynamicGraph, the
-// exact-equality contract of UtilityFunction::ApplyEdgeDelta (bitwise for
-// common neighbors, support-exact + 1e-9 scores for the degree-weighted
-// family), affected-set completeness, and the delta-patched serving cache
-// (differential vs the full-recompute baseline, journal-compaction
-// fallback, frozen-sampler survival, and a TSAN-facing concurrent
-// mutate/repair stress — ci/sanitize.sh runs this label under
+// edge-delta journal and patched snapshot publication on DynamicGraph, the
+// exactness of every utility's keep test (an entry EdgeDeltaWindowAffects
+// clears equals a fresh Compute, bit for bit), and the keep-or-recompute
+// serving cache (differential vs the full-recompute baseline,
+// journal-compaction fallback, frozen-sampler survival, and a TSAN-facing
+// concurrent mutate/repair stress — ci/sanitize.sh runs this label under
 // ThreadSanitizer and the whole suite under ASan+UBSan).
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -24,13 +22,13 @@
 #include "graph/dynamic_graph.h"
 #include "graph/edge_delta.h"
 #include "graph/graph_builder.h"
-#include "graph/transforms.h"
 #include "gtest/gtest.h"
 #include "random/rng.h"
 #include "serve/recommendation_service.h"
 #include "utility/adamic_adar.h"
 #include "utility/common_neighbors.h"
 #include "utility/link_predictors.h"
+#include "utility/personalized_pagerank.h"
 #include "utility/sensitivity.h"
 
 namespace privrec {
@@ -114,40 +112,6 @@ TEST(EdgeDeltaJournalTest, CompactionAndAddNodeForceTheFallback) {
                   .IsOutOfRange());
 }
 
-// ------------------------------------------------------------ reverse index
-
-TEST(ReverseIndexTest, SnapshotInGraphIsTheTranspose) {
-  Rng rng(11);
-  auto base = ErdosRenyiGnm(25, 60, /*directed=*/true, rng);
-  ASSERT_TRUE(base.ok());
-  DynamicGraph graph(*base);
-  for (int i = 0; i < 40; ++i) {
-    const NodeId u = static_cast<NodeId>(rng.NextBounded(25));
-    const NodeId v = static_cast<NodeId>(rng.NextBounded(25));
-    if (u == v) continue;
-    if (graph.HasEdge(u, v)) {
-      ASSERT_TRUE(graph.RemoveEdge(u, v).ok());
-    } else {
-      ASSERT_TRUE(graph.AddEdge(u, v).ok());
-    }
-    const DynamicGraph::StampedSnapshot snap = graph.VersionedSnapshot();
-    ASSERT_NE(snap.in_graph, nullptr);
-    EXPECT_TRUE(snap.in_graph->Equals(Reverse(*snap.graph)))
-        << "incrementally-maintained reverse index diverged from the "
-           "transpose after toggle "
-        << i;
-    for (NodeId w = 0; w < 25; ++w) {
-      EXPECT_EQ(graph.InDegree(w), snap.in_graph->OutDegree(w));
-    }
-  }
-  // Undirected graphs alias the forward CSR as their own reverse.
-  DynamicGraph undirected(5, /*directed=*/false);
-  ASSERT_TRUE(undirected.AddEdge(0, 1).ok());
-  const DynamicGraph::StampedSnapshot snap = undirected.VersionedSnapshot();
-  EXPECT_EQ(snap.in_graph.get(), snap.graph.get());
-  EXPECT_EQ(undirected.InDegree(1), 1u);
-}
-
 // --------------------------------------------------------- snapshot patching
 
 TEST(CsrPatchTest, SplicesInsertionsDeletionsAndCancelledPairs) {
@@ -164,7 +128,7 @@ TEST(CsrPatchTest, SplicesInsertionsDeletionsAndCancelledPairs) {
       {0, 2, true, 1}, {2, 4, false, 2}, {4, 5, true, 3},
       {4, 5, false, 4}, {3, 1, true, 5},
   };
-  auto patched = PatchCsr(prev, window, CsrPatchOrientation::kForward);
+  auto patched = PatchCsr(prev, window);
   ASSERT_TRUE(patched.ok()) << patched.status().ToString();
   GraphBuilder expect_builder(/*directed=*/true);
   expect_builder.SetNumNodes(6);
@@ -174,10 +138,6 @@ TEST(CsrPatchTest, SplicesInsertionsDeletionsAndCancelledPairs) {
   expect_builder.AddEdge(5, 0);
   expect_builder.AddEdge(3, 1);
   EXPECT_TRUE(patched->Equals(expect_builder.Build()));
-  // The reverse orientation patches the transpose with the same window.
-  auto reverse = PatchCsr(Reverse(prev), window, CsrPatchOrientation::kReverse);
-  ASSERT_TRUE(reverse.ok()) << reverse.status().ToString();
-  EXPECT_TRUE(reverse->Equals(Reverse(*patched)));
 }
 
 TEST(CsrPatchTest, InconsistentWindowsAreRejected) {
@@ -187,8 +147,7 @@ TEST(CsrPatchTest, InconsistentWindowsAreRejected) {
   builder.AddEdge(1, 2);
   const CsrGraph prev = builder.Build();
   const auto patch_one = [&](EdgeDelta delta) {
-    return PatchCsr(prev, std::span<const EdgeDelta>(&delta, 1),
-                    CsrPatchOrientation::kForward);
+    return PatchCsr(prev, std::span<const EdgeDelta>(&delta, 1));
   };
   // Net insertion of a present edge / deletion of an absent one.
   EXPECT_TRUE(patch_one({0, 1, true, 1}).status().IsInvalidArgument());
@@ -197,9 +156,7 @@ TEST(CsrPatchTest, InconsistentWindowsAreRejected) {
   EXPECT_TRUE(patch_one({0, 9, true, 1}).status().IsInvalidArgument());
   // Same arc toggled twice in the same direction: not a journal replay.
   const std::vector<EdgeDelta> doubled = {{0, 2, true, 1}, {0, 2, true, 2}};
-  EXPECT_TRUE(PatchCsr(prev, doubled, CsrPatchOrientation::kForward)
-                  .status()
-                  .IsInvalidArgument());
+  EXPECT_TRUE(PatchCsr(prev, doubled).status().IsInvalidArgument());
   // Regression: a VALID insertion at a low node id balancing an invalid
   // deletion at a high one (net arc shift 0) must be rejected up front —
   // the splice must never write the extra arc into a buffer sized on the
@@ -212,24 +169,17 @@ TEST(CsrPatchTest, InconsistentWindowsAreRejected) {
   const CsrGraph directed_prev = directed_builder.Build();
   const std::vector<EdgeDelta> unbalanced = {{0, 5, true, 1},
                                              {7, 3, false, 2}};
-  EXPECT_TRUE(PatchCsr(directed_prev, unbalanced, CsrPatchOrientation::kForward)
-                  .status()
-                  .IsInvalidArgument());
-  // Reverse orientation is only defined for directed CSRs.
+  EXPECT_TRUE(PatchCsr(directed_prev, unbalanced).status().IsInvalidArgument());
+  // A consistent single insertion still patches.
   EXPECT_TRUE(patch_one({0, 2, true, 1}).ok());
-  const EdgeDelta fine{0, 2, true, 1};
-  EXPECT_TRUE(PatchCsr(prev, std::span<const EdgeDelta>(&fine, 1),
-                       CsrPatchOrientation::kReverse)
-                  .status()
-                  .IsInvalidArgument());
 }
 
 TEST(SnapshotPatchTest, RandomizedMutationsEqualFromScratchRebuilds) {
   // The tentpole property: a mutation-heavy DynamicGraph whose snapshots
   // are journal-patched must publish CSRs Equals()-identical to a mirror
-  // graph that rebuilds every snapshot from scratch — forward AND reverse
-  // CSR, through compaction and AddNode fallbacks (small journal, node
-  // growth) and across multi-delta windows.
+  // graph that rebuilds every snapshot from scratch, through compaction and
+  // AddNode fallbacks (small journal, node growth) and across multi-delta
+  // windows.
   for (bool directed : {false, true}) {
     Rng rng(directed ? 211u : 212u);
     auto base = ErdosRenyiGnm(40, 90, directed, rng);
@@ -264,14 +214,7 @@ TEST(SnapshotPatchTest, RandomizedMutationsEqualFromScratchRebuilds) {
       ASSERT_EQ(a.num_edges, b.num_edges);
       ASSERT_TRUE(a.graph->Equals(*b.graph))
           << (directed ? "directed" : "undirected")
-          << " forward CSR diverged at step " << step;
-      ASSERT_TRUE(a.in_graph->Equals(*b.in_graph))
-          << (directed ? "directed" : "undirected")
-          << " reverse CSR diverged at step " << step;
-      if (!directed) {
-        ASSERT_EQ(a.in_graph.get(), a.graph.get())
-            << "undirected reverse must alias the forward CSR";
-      }
+          << " CSR diverged at step " << step;
     }
     // The property only bites if both publication paths actually ran.
     EXPECT_GT(patched.snapshot_patches(), 0u);
@@ -325,45 +268,23 @@ TEST(SnapshotPatchTest, ThresholdAndFallbacksRouteToFullRebuild) {
 
 // ------------------------------------------------- affected-set completeness
 
-/// Utility-agnostic ground truth: a target is REALLY unaffected iff its
-/// fresh vectors before and after the toggle agree for every shipped
-/// 2-hop utility.
-void ExpectVectorsIdentical(const UtilityVector& a, const UtilityVector& b,
-                            bool bitwise) {
+/// Bitwise equality of two utility vectors: bitwise-equal scores sort
+/// identically (ties break on node id), so the descending entry arrays must
+/// agree position by position.
+void ExpectVectorsIdentical(const UtilityVector& a, const UtilityVector& b) {
   ASSERT_EQ(a.num_candidates(), b.num_candidates());
   ASSERT_EQ(a.nonzero().size(), b.nonzero().size());
-  if (bitwise) {
-    // Bitwise-equal scores sort identically (ties break on node id), so
-    // the descending entry arrays must agree position by position.
-    for (size_t i = 0; i < a.nonzero().size(); ++i) {
-      EXPECT_EQ(a.nonzero()[i].node, b.nonzero()[i].node) << "entry " << i;
-      EXPECT_EQ(a.nonzero()[i].utility, b.nonzero()[i].utility)
-          << "entry " << i;
-    }
-    return;
-  }
-  // Float-weighted utilities: scores agree to rounding dust, which can
-  // reorder near-ties — compare node-keyed instead of position-keyed.
-  auto by_node = [](const UtilityVector& vec) {
-    std::vector<UtilityEntry> entries(vec.nonzero().begin(),
-                                      vec.nonzero().end());
-    std::sort(entries.begin(), entries.end(),
-              [](const UtilityEntry& lhs, const UtilityEntry& rhs) {
-                return lhs.node < rhs.node;
-              });
-    return entries;
-  };
-  const std::vector<UtilityEntry> ea = by_node(a);
-  const std::vector<UtilityEntry> eb = by_node(b);
-  for (size_t i = 0; i < ea.size(); ++i) {
-    ASSERT_EQ(ea[i].node, eb[i].node) << "support mismatch at entry " << i;
-    EXPECT_NEAR(ea[i].utility, eb[i].utility,
-                1e-9 * std::max(1.0, std::fabs(eb[i].utility)))
-        << "node " << ea[i].node;
+  for (size_t i = 0; i < a.nonzero().size(); ++i) {
+    EXPECT_EQ(a.nonzero()[i].node, b.nonzero()[i].node) << "entry " << i;
+    EXPECT_EQ(a.nonzero()[i].utility, b.nonzero()[i].utility)
+        << "entry " << i;
   }
 }
 
-TEST(AffectedTargetsTest, EnumerationIsCompleteAndMatchesMembership) {
+TEST(AffectedTargetsTest, MembershipTestIsComplete) {
+  // Brute force over every target: one the structural test clears must
+  // have IDENTICAL fresh vectors across the toggle, for both the
+  // constant-weight and the degree-weighted utility.
   for (bool directed : {false, true}) {
     Rng rng(directed ? 21u : 22u);
     auto base = ErdosRenyiGnm(30, 70, directed, rng);
@@ -381,44 +302,35 @@ TEST(AffectedTargetsTest, EnumerationIsCompleteAndMatchesMembership) {
       ASSERT_TRUE((added ? graph.AddEdge(u, v) : graph.RemoveEdge(u, v)).ok());
       const DynamicGraph::StampedSnapshot after = graph.VersionedSnapshot();
       const EdgeDelta delta{u, v, added, after.version};
-
-      const std::vector<NodeId> affected =
-          AffectedTargets(*after.graph, *after.in_graph, delta);
-      EXPECT_TRUE(std::is_sorted(affected.begin(), affected.end()));
       for (NodeId target = 0; target < 30; ++target) {
-        const bool in_set =
-            std::binary_search(affected.begin(), affected.end(), target);
-        EXPECT_EQ(in_set,
-                  EdgeDeltaAffectsTarget(*after.graph, delta, target))
-            << "membership/enumeration disagree at target " << target;
-        if (in_set) continue;
-        // Completeness: an unflagged target's vector must be IDENTICAL
-        // across the toggle, for both the constant-weight and the
-        // degree-weighted utility.
+        if (EdgeDeltaAffectsTarget(*after.graph, delta, target)) continue;
         ExpectVectorsIdentical(cn.Compute(*before.graph, target, workspace),
-                               cn.Compute(*after.graph, target, workspace),
-                               /*bitwise=*/true);
+                               cn.Compute(*after.graph, target, workspace));
         ExpectVectorsIdentical(aa.Compute(*before.graph, target, workspace),
-                               aa.Compute(*after.graph, target, workspace),
-                               /*bitwise=*/true);
+                               aa.Compute(*after.graph, target, workspace));
       }
     }
   }
 }
 
-// ------------------------------------------------------ patch exact equality
+// ---------------------------------------------------- keep-test exactness
 
-/// Drives a random toggle sequence, maintaining every target's vector via
-/// ApplyEdgeDelta (affected targets) or carry-over (unaffected), and
-/// checks each step against a fresh Compute. Patched vectors feed the next
-/// step, so per-step dust would compound — which is exactly what the
-/// contract forbids.
-void RunPatchEqualsComputeProperty(const UtilityFunction& utility,
-                                   bool directed, bool bitwise,
-                                   uint64_t seed) {
+/// Drives windows of 1–8 toggles, skewed toward a hot third of the node
+/// space, against a cache of every target's vector — the service's repair
+/// in miniature. After each window, every target the utility's
+/// EdgeDeltaWindowAffects flags is recomputed, and every target it clears
+/// keeps its cached vector, which must equal a fresh Compute bit for bit:
+/// a kept vector is the one the serving cache releases from. Kept vectors
+/// carry over into the next window, so a keep that should have been a
+/// recompute stays wrong until the comparison catches it. The drive only
+/// certifies something if it both keeps and flags, so it asserts both.
+void RunKeepTestIsExactProperty(const UtilityFunction& utility, bool directed,
+                                uint64_t seed) {
+  ASSERT_TRUE(utility.SupportsIncrementalUpdate()) << utility.name();
   Rng rng(seed);
-  constexpr NodeId kNodes = 30;
-  auto base = ErdosRenyiGnm(kNodes, 75, directed, rng);
+  constexpr NodeId kNodes = 60;
+  constexpr NodeId kHot = kNodes / 3;
+  auto base = ErdosRenyiGnm(kNodes, 80, directed, rng);
   ASSERT_TRUE(base.ok());
   DynamicGraph graph(*base);
   UtilityWorkspace workspace;
@@ -430,98 +342,16 @@ void RunPatchEqualsComputeProperty(const UtilityFunction& utility,
     cached.push_back(utility.Compute(*initial.graph, target, workspace));
   }
 
-  int toggles = 0;
-  while (toggles < 40) {
-    const NodeId u = static_cast<NodeId>(rng.NextBounded(kNodes));
-    const NodeId v = static_cast<NodeId>(rng.NextBounded(kNodes));
-    if (u == v) continue;
-    const bool added = !graph.HasEdge(u, v);
-    ASSERT_TRUE((added ? graph.AddEdge(u, v) : graph.RemoveEdge(u, v)).ok());
-    ++toggles;
-    const DynamicGraph::StampedSnapshot snap = graph.VersionedSnapshot();
-    const EdgeDelta delta{u, v, added, snap.version};
-    for (NodeId target = 0; target < kNodes; ++target) {
-      // The utility owns the affectedness test (Jaccard widens the
-      // structural rule by the cached support); an entry the test clears
-      // must carry over EXACTLY, which the fresh-Compute comparison below
-      // enforces for kept and patched targets alike.
-      if (utility.EdgeDeltaAffects(*snap.graph, delta, target,
-                                   cached[target])) {
-        cached[target] = utility.ApplyEdgeDelta(*snap.graph, delta, target,
-                                                cached[target], workspace);
-      }
-      ExpectVectorsIdentical(cached[target],
-                             utility.Compute(*snap.graph, target, workspace),
-                             bitwise);
-      if (::testing::Test::HasFailure()) {
-        FAIL() << utility.name() << (directed ? " directed" : " undirected")
-               << ": patched vector diverged at toggle " << toggles
-               << " target " << target;
-      }
-    }
-  }
-}
-
-TEST(ApplyEdgeDeltaTest, CommonNeighborsPatchIsBitwiseExact) {
-  CommonNeighborsUtility cn;
-  RunPatchEqualsComputeProperty(cn, /*directed=*/false, /*bitwise=*/true, 31);
-  RunPatchEqualsComputeProperty(cn, /*directed=*/true, /*bitwise=*/true, 32);
-}
-
-TEST(ApplyEdgeDeltaTest, AdamicAdarPatchMatchesFreshCompute) {
-  AdamicAdarUtility aa;
-  RunPatchEqualsComputeProperty(aa, /*directed=*/false, /*bitwise=*/false, 33);
-  RunPatchEqualsComputeProperty(aa, /*directed=*/true, /*bitwise=*/false, 34);
-}
-
-TEST(ApplyEdgeDeltaTest, ResourceAllocationPatchMatchesFreshCompute) {
-  ResourceAllocationUtility ra;
-  RunPatchEqualsComputeProperty(ra, /*directed=*/false, /*bitwise=*/false, 35);
-  RunPatchEqualsComputeProperty(ra, /*directed=*/true, /*bitwise=*/false, 36);
-}
-
-TEST(ApplyEdgeDeltaTest, JaccardPatchIsBitwiseExact) {
-  // The union-size term is recovered and re-derived through Compute's own
-  // float expression, so even this ratio utility patches bitwise (see
-  // PatchJaccardUtility; the directed runs exercise the documented
-  // recompute route for affected entries instead). The chained property
-  // also exercises JaccardUtility::EdgeDeltaAffects: a kept entry whose
-  // endpoint-degree or hidden-support dependence was missed would diverge
-  // from the fresh Compute here.
-  JaccardUtility jaccard;
-  RunPatchEqualsComputeProperty(jaccard, /*directed=*/false, /*bitwise=*/true,
-                                38);
-  RunPatchEqualsComputeProperty(jaccard, /*directed=*/true, /*bitwise=*/true,
-                                39);
-}
-
-/// Multi-delta variant: accumulates windows of 1–4 toggles and repairs
-/// every affected target with ONE ApplyEdgeDeltaBatch call against the
-/// post-window snapshot (no intermediate states), checking each window
-/// against a fresh Compute. Patched vectors feed the next window.
-void RunBatchPatchEqualsComputeProperty(const UtilityFunction& utility,
-                                        bool directed, bool bitwise,
-                                        uint64_t seed) {
-  Rng rng(seed);
-  constexpr NodeId kNodes = 30;
-  auto base = ErdosRenyiGnm(kNodes, 75, directed, rng);
-  ASSERT_TRUE(base.ok());
-  DynamicGraph graph(*base);
-  UtilityWorkspace workspace;
-
-  std::vector<UtilityVector> cached;
-  cached.reserve(kNodes);
-  const DynamicGraph::StampedSnapshot initial = graph.VersionedSnapshot();
-  for (NodeId target = 0; target < kNodes; ++target) {
-    cached.push_back(utility.Compute(*initial.graph, target, workspace));
-  }
-
-  for (int round = 0; round < 15; ++round) {
-    const size_t window_size = 1 + rng.NextBounded(4);
+  uint64_t kept = 0;
+  uint64_t flagged = 0;
+  for (int round = 0; round < 20; ++round) {
+    const size_t window_size = 1 + rng.NextBounded(8);
     std::vector<EdgeDelta> window;
     while (window.size() < window_size) {
-      const NodeId u = static_cast<NodeId>(rng.NextBounded(kNodes));
-      const NodeId v = static_cast<NodeId>(rng.NextBounded(kNodes));
+      // Skew: most toggles land inside the hot pool.
+      const NodeId span = rng.NextBounded(4) == 0 ? kNodes : kHot;
+      const NodeId u = static_cast<NodeId>(rng.NextBounded(span));
+      const NodeId v = static_cast<NodeId>(rng.NextBounded(span));
       if (u == v) continue;
       const bool added = !graph.HasEdge(u, v);
       ASSERT_TRUE((added ? graph.AddEdge(u, v) : graph.RemoveEdge(u, v)).ok());
@@ -529,60 +359,70 @@ void RunBatchPatchEqualsComputeProperty(const UtilityFunction& utility,
     }
     const DynamicGraph::StampedSnapshot snap = graph.VersionedSnapshot();
     for (NodeId target = 0; target < kNodes; ++target) {
-      // The window form is what the service's repair gate uses — a
-      // per-delta OR can miss pre-window state (Jaccard's directed
-      // hidden-support clause).
+      const UtilityVector fresh =
+          utility.Compute(*snap.graph, target, workspace);
       if (utility.EdgeDeltaWindowAffects(*snap.graph, window, target,
                                          cached[target])) {
-        cached[target] = utility.ApplyEdgeDeltaBatch(*snap.graph, window,
-                                                     target, cached[target],
-                                                     workspace);
+        ++flagged;
+        cached[target] = fresh;
+        continue;
       }
-      ExpectVectorsIdentical(cached[target],
-                             utility.Compute(*snap.graph, target, workspace),
-                             bitwise);
+      ++kept;
+      ExpectVectorsIdentical(cached[target], fresh);
       if (::testing::Test::HasFailure()) {
         FAIL() << utility.name() << (directed ? " directed" : " undirected")
-               << ": batch-patched vector diverged at round " << round
-               << " (window " << window.size() << ") target " << target;
+               << ": kept vector differs from a fresh Compute at round "
+               << round << " (window " << window.size() << ") target "
+               << target;
       }
     }
   }
+  EXPECT_GT(kept, 0u) << utility.name() << ": the keep test never cleared";
+  EXPECT_GT(flagged, 0u) << utility.name() << ": the keep test never flagged";
 }
 
-TEST(ApplyEdgeDeltaBatchTest, CommonNeighborsWindowPatchIsBitwiseExact) {
+TEST(KeepTestTest, CommonNeighborsKeepsOnlyExactEntries) {
   CommonNeighborsUtility cn;
-  RunBatchPatchEqualsComputeProperty(cn, /*directed=*/false, /*bitwise=*/true,
-                                     131);
-  RunBatchPatchEqualsComputeProperty(cn, /*directed=*/true, /*bitwise=*/true,
-                                     132);
+  RunKeepTestIsExactProperty(cn, /*directed=*/false, 131);
+  RunKeepTestIsExactProperty(cn, /*directed=*/true, 132);
 }
 
-TEST(ApplyEdgeDeltaBatchTest, AdamicAdarWindowPatchMatchesFreshCompute) {
+TEST(KeepTestTest, AdamicAdarKeepsOnlyExactEntries) {
   AdamicAdarUtility aa;
-  RunBatchPatchEqualsComputeProperty(aa, /*directed=*/false, /*bitwise=*/false,
-                                     133);
-  RunBatchPatchEqualsComputeProperty(aa, /*directed=*/true, /*bitwise=*/false,
-                                     134);
+  RunKeepTestIsExactProperty(aa, /*directed=*/false, 133);
+  RunKeepTestIsExactProperty(aa, /*directed=*/true, 134);
 }
 
-TEST(ApplyEdgeDeltaBatchTest, ResourceAllocationWindowPatchMatchesFreshCompute) {
+TEST(KeepTestTest, ResourceAllocationKeepsOnlyExactEntries) {
   ResourceAllocationUtility ra;
-  RunBatchPatchEqualsComputeProperty(ra, /*directed=*/false, /*bitwise=*/false,
-                                     135);
-  RunBatchPatchEqualsComputeProperty(ra, /*directed=*/true, /*bitwise=*/false,
-                                     136);
+  RunKeepTestIsExactProperty(ra, /*directed=*/false, 135);
+  RunKeepTestIsExactProperty(ra, /*directed=*/true, 136);
 }
 
-TEST(ApplyEdgeDeltaBatchTest, JaccardWindowPatchIsBitwiseExact) {
+TEST(KeepTestTest, JaccardKeepsOnlyExactEntries) {
+  // Jaccard widens the structural rule by the cached support (candidate
+  // degrees enter the union term) and, on directed graphs, by the
+  // hidden-support clause; a missed dependence would keep a stale vector.
   JaccardUtility jaccard;
-  RunBatchPatchEqualsComputeProperty(jaccard, /*directed=*/false,
-                                     /*bitwise=*/true, 137);
-  RunBatchPatchEqualsComputeProperty(jaccard, /*directed=*/true,
-                                     /*bitwise=*/true, 138);
+  RunKeepTestIsExactProperty(jaccard, /*directed=*/false, 137);
+  RunKeepTestIsExactProperty(jaccard, /*directed=*/true, 138);
 }
 
-TEST(ApplyEdgeDeltaBatchTest, JaccardDirectedHiddenSupportSurfacesAcrossWindow) {
+TEST(KeepTestTest, KatzKeepsOnlyExactEntries) {
+  // The walk-cone test (depth L - 1) replaces the 2-hop rule.
+  KatzUtility katz(0.05, 3);
+  RunKeepTestIsExactProperty(katz, /*directed=*/false, 139);
+  RunKeepTestIsExactProperty(katz, /*directed=*/true, 140);
+}
+
+TEST(KeepTestTest, PersonalizedPageRankKeepsOnlyExactEntries) {
+  // The push-cone test (depth iterations - 1), dangling restarts included.
+  PersonalizedPageRankUtility ppr(0.2, 4);
+  RunKeepTestIsExactProperty(ppr, /*directed=*/false, 141);
+  RunKeepTestIsExactProperty(ppr, /*directed=*/true, 142);
+}
+
+TEST(KeepTestTest, JaccardDirectedHiddenSupportSurfacesAcrossWindow) {
   // Regression: candidate 5 has arcs 1->5 and 2->5, out-degree 0, and full
   // intersection with target 0 (N_out(0) = {1,2}) — suppressed by
   // Compute's uni > 0 guard, hence absent from the cached support. A
@@ -610,150 +450,14 @@ TEST(ApplyEdgeDeltaBatchTest, JaccardDirectedHiddenSupportSurfacesAcrossWindow) 
   ASSERT_TRUE(
       jaccard.EdgeDeltaWindowAffects(*after.graph, window, 0, cached))
       << "window form missed the 0 -> 2 out-degree crossing";
-  ExpectVectorsIdentical(
-      jaccard.ApplyEdgeDeltaBatch(*after.graph, window, 0, cached, workspace),
-      jaccard.Compute(*after.graph, 0, workspace), /*bitwise=*/true);
   EXPECT_FALSE(jaccard.Compute(*after.graph, 0, workspace).nonzero().empty())
       << "candidate 5 should have surfaced";
 }
 
-// ------------------------------------------------- affect-filtered windows
-
-/// Same chained-window drive as RunBatchPatchEqualsComputeProperty, but
-/// every affected target is repaired with the AFFECT-FILTERED sub-window
-/// (UtilityFunction::FilterAffectingWindow) instead of the full window —
-/// the filter's exactness contract under test. Windows are widened (up to
-/// 8 toggles) and biased toward a hot node pool so most deltas are
-/// irrelevant to most targets, making the filter actually drop things.
-void RunFilteredPatchEqualsComputeProperty(const UtilityFunction& utility,
-                                           bool directed, bool bitwise,
-                                           uint64_t seed) {
-  Rng rng(seed);
-  constexpr NodeId kNodes = 30;
-  auto base = ErdosRenyiGnm(kNodes, 75, directed, rng);
-  ASSERT_TRUE(base.ok());
-  DynamicGraph graph(*base);
-  UtilityWorkspace workspace;
-
-  std::vector<UtilityVector> cached;
-  cached.reserve(kNodes);
-  const DynamicGraph::StampedSnapshot initial = graph.VersionedSnapshot();
-  for (NodeId target = 0; target < kNodes; ++target) {
-    cached.push_back(utility.Compute(*initial.graph, target, workspace));
-  }
-
-  uint64_t dropped = 0;
-  for (int round = 0; round < 12; ++round) {
-    const size_t window_size = 1 + rng.NextBounded(8);
-    std::vector<EdgeDelta> window;
-    while (window.size() < window_size) {
-      // Skew: most toggles land inside the hot half of the node space.
-      const NodeId span = rng.NextBounded(4) == 0 ? kNodes : kNodes / 2;
-      const NodeId u = static_cast<NodeId>(rng.NextBounded(span));
-      const NodeId v = static_cast<NodeId>(rng.NextBounded(span));
-      if (u == v) continue;
-      const bool added = !graph.HasEdge(u, v);
-      ASSERT_TRUE((added ? graph.AddEdge(u, v) : graph.RemoveEdge(u, v)).ok());
-      window.push_back(EdgeDelta{u, v, added, graph.version()});
-    }
-    const DynamicGraph::StampedSnapshot snap = graph.VersionedSnapshot();
-    std::vector<EdgeDelta> filtered;
-    for (NodeId target = 0; target < kNodes; ++target) {
-      if (utility.EdgeDeltaWindowAffects(*snap.graph, window, target,
-                                         cached[target])) {
-        filtered.clear();
-        utility.FilterAffectingWindow(*snap.graph, window, target,
-                                      cached[target], filtered);
-        // Consistency with the affectedness gate: an affecting window
-        // never filters to empty (the service's empty-filter branch is
-        // defensive only).
-        ASSERT_FALSE(filtered.empty())
-            << utility.name() << ": affecting window filtered to empty at "
-            << "round " << round << " target " << target;
-        dropped += window.size() - filtered.size();
-        cached[target] = utility.ApplyEdgeDeltaBatch(
-            *snap.graph, filtered, target, cached[target], workspace);
-      }
-      ExpectVectorsIdentical(cached[target],
-                             utility.Compute(*snap.graph, target, workspace),
-                             bitwise);
-      if (::testing::Test::HasFailure()) {
-        FAIL() << utility.name() << (directed ? " directed" : " undirected")
-               << ": filtered-window patch diverged at round " << round
-               << " (window " << window.size() << ") target " << target;
-      }
-    }
-  }
-  // The property is vacuous if the filter never drops anything.
-  EXPECT_GT(dropped, 0u) << utility.name()
-                         << ": filter dropped no deltas across the drive";
-}
-
-TEST(FilterAffectingWindowTest, CommonNeighborsFilteredPatchIsBitwiseExact) {
-  CommonNeighborsUtility cn;
-  RunFilteredPatchEqualsComputeProperty(cn, /*directed=*/false,
-                                        /*bitwise=*/true, 231);
-  RunFilteredPatchEqualsComputeProperty(cn, /*directed=*/true,
-                                        /*bitwise=*/true, 232);
-}
-
-TEST(FilterAffectingWindowTest, AdamicAdarFilteredPatchMatchesFreshCompute) {
-  AdamicAdarUtility aa;
-  RunFilteredPatchEqualsComputeProperty(aa, /*directed=*/false,
-                                        /*bitwise=*/false, 233);
-  RunFilteredPatchEqualsComputeProperty(aa, /*directed=*/true,
-                                        /*bitwise=*/false, 234);
-}
-
-TEST(FilterAffectingWindowTest,
-     ResourceAllocationFilteredPatchMatchesFreshCompute) {
-  ResourceAllocationUtility ra;
-  RunFilteredPatchEqualsComputeProperty(ra, /*directed=*/false,
-                                        /*bitwise=*/false, 235);
-  RunFilteredPatchEqualsComputeProperty(ra, /*directed=*/true,
-                                        /*bitwise=*/false, 236);
-}
-
-TEST(FilterAffectingWindowTest, JaccardFilteredPatchIsBitwiseExact) {
-  // Undirected Jaccard widens the structural filter by its cached
-  // support (candidate-side degrees matter); directed Jaccard keeps the
-  // whole window (its repairs recompute). Both must stay exact.
-  JaccardUtility jaccard;
-  RunFilteredPatchEqualsComputeProperty(jaccard, /*directed=*/false,
-                                        /*bitwise=*/true, 238);
-}
-
-TEST(FilterAffectingWindowTest, StructuralFilterKeepsEverNeighborDeltas) {
-  // The subtle completeness case: the window removes the target's edge to
-  // x, so the final snapshot no longer shows x as a neighbor — but the
-  // batch engine must still reconstruct x's pre-window contribution, so
-  // deltas with tail x MUST be kept (the "ever-neighbors" clause).
-  GraphBuilder builder(false);
-  builder.SetNumNodes(6);
-  builder.AddEdge(0, 1);
-  builder.AddEdge(1, 2);
-  builder.AddEdge(3, 4);
-  CsrGraph before = builder.Build();
-  DynamicGraph graph(before);
-  ASSERT_TRUE(graph.RemoveEdge(0, 1).ok());  // target loses neighbor 1
-  ASSERT_TRUE(graph.AddEdge(1, 5).ok());     // ever-neighbor 1 mutates
-  ASSERT_TRUE(graph.AddEdge(3, 5).ok());     // unrelated to target 0
-  const DynamicGraph::StampedSnapshot snap = graph.VersionedSnapshot();
-  const std::vector<EdgeDelta> window = {
-      EdgeDelta{0, 1, /*added=*/false, 1},
-      EdgeDelta{1, 5, /*added=*/true, 2},
-      EdgeDelta{3, 5, /*added=*/true, 3},
-  };
-  std::vector<EdgeDelta> filtered;
-  FilterAffectingDeltas(*snap.graph, window, /*target=*/0, filtered);
-  ASSERT_EQ(filtered.size(), 2u);
-  EXPECT_EQ(filtered[0].u, 0u);  // incident to target
-  EXPECT_EQ(filtered[1].u, 1u);  // ever-neighbor, kept though edge is gone
-}
-
-TEST(ApplyEdgeDeltaTest, DefaultImplementationIsTheFullRecompute) {
-  // A utility without incremental support must still be correct through
-  // the base-class ApplyEdgeDelta / ApplyEdgeDeltaBatch (they recompute).
+TEST(KeepTestTest, FormerPatchHooksDefaultToTheFullRecompute) {
+  // The base-class patch hooks stay for out-of-library wrappers; their
+  // defaults must remain correct: recompute, no batch support, and a
+  // filter that keeps the whole window.
   Rng rng(37);
   auto base = ErdosRenyiGnm(15, 30, /*directed=*/false, rng);
   ASSERT_TRUE(base.ok());
@@ -769,12 +473,18 @@ TEST(ApplyEdgeDeltaTest, DefaultImplementationIsTheFullRecompute) {
   const EdgeDelta delta{3, 9, true, after.version};
   ExpectVectorsIdentical(
       pa.ApplyEdgeDelta(*after.graph, delta, 0, cached, workspace),
-      pa.Compute(*after.graph, 0, workspace), /*bitwise=*/true);
+      pa.Compute(*after.graph, 0, workspace));
   ExpectVectorsIdentical(
       pa.ApplyEdgeDeltaBatch(*after.graph,
                              std::span<const EdgeDelta>(&delta, 1), 0, cached,
                              workspace),
-      pa.Compute(*after.graph, 0, workspace), /*bitwise=*/true);
+      pa.Compute(*after.graph, 0, workspace));
+  std::vector<EdgeDelta> filtered;
+  pa.FilterAffectingWindow(*after.graph, std::span<const EdgeDelta>(&delta, 1),
+                           0, cached, filtered);
+  ASSERT_EQ(filtered.size(), 1u);
+  EXPECT_EQ(filtered[0].u, delta.u);
+  EXPECT_EQ(filtered[0].v, delta.v);
 }
 
 // ------------------------------------------------- sensitivity-probe parity
@@ -786,7 +496,7 @@ TEST(SensitivityProbeTest, WorkspaceOverloadAgreesWithConvenienceForm) {
   CommonNeighborsUtility cn;
   UtilityWorkspace workspace;
   // Identical rng seeds → identical probe pairs → identical estimates
-  // (CN's patches are bitwise-exact, so even max/mean agree exactly).
+  // (both forms run the same Computes, so even max/mean agree exactly).
   Rng rng_a(43), rng_b(43);
   const SensitivityEstimate with_ws =
       EstimateEdgeSensitivity(*g, cn, 0, 25, rng_a, /*relaxed=*/true,
@@ -813,10 +523,10 @@ ServiceOptions IncrementalServiceOptions(bool enable_delta_repair) {
 }
 
 TEST(IncrementalServiceTest, DeltaModeServesIdenticallyToBaseline) {
-  // Common neighbors has a graph-independent Δf and a bitwise-exact patch,
-  // so the delta-repaired service and the recompute-everything baseline
-  // must serve BYTE-IDENTICAL sequences from identical seeds — the
-  // strongest possible statement that repair changes cost, not outcomes.
+  // Common neighbors has a graph-independent Δf and an exact keep test, so
+  // the delta-repaired service and the recompute-everything baseline must
+  // serve BYTE-IDENTICAL sequences from identical seeds — the strongest
+  // possible statement that repair changes cost, not outcomes.
   Rng graph_rng(51);
   auto weights = PowerLawWeights(200, 2.2);
   auto base = ChungLu(weights, weights, 900, /*directed=*/false, graph_rng);
@@ -869,13 +579,14 @@ TEST(IncrementalServiceTest, DeltaModeServesIdenticallyToBaseline) {
   EXPECT_EQ(delta_stats.refused_budget, baseline_stats.refused_budget);
   // The differential is only meaningful if the repair paths actually ran.
   EXPECT_GT(delta_stats.delta_kept, 0u);
-  EXPECT_GT(delta_stats.delta_patched, 0u);
+  EXPECT_GT(delta_stats.delta_recomputed, 0u);
+  EXPECT_EQ(delta_stats.delta_patched, 0u);
   EXPECT_EQ(delta_stats.cache_invalidations, 0u);
   EXPECT_EQ(baseline_stats.delta_kept, 0u);
-  EXPECT_EQ(baseline_stats.delta_patched, 0u);
+  EXPECT_EQ(baseline_stats.delta_recomputed, 0u);
   EXPECT_GT(baseline_stats.cache_invalidations, 0u);
-  // Delta repair converts baseline recompute-misses into kept/patched
-  // hits; both sides account every lookup exactly once.
+  // Delta repair converts baseline recompute-misses into kept hits; both
+  // sides account every lookup exactly once.
   EXPECT_EQ(delta_stats.cache_hits + delta_stats.cache_misses,
             baseline_stats.cache_hits + baseline_stats.cache_misses);
   EXPECT_GT(delta_stats.cache_hits, baseline_stats.cache_hits);
@@ -892,34 +603,26 @@ struct ServiceReplica {
 
 TEST(IncrementalServiceTest, EveryRepairRouteServesIdenticallyToBaseline) {
   // Sibling of DeltaModeServesIdenticallyToBaseline that drives EVERY
-  // route replacing a cached vector — single-delta and window patches,
-  // recomputes past max_patch_window, journal fallbacks after compaction
-  // and after AddNode — and still serves byte-identically to the
-  // recompute-everything baseline. Each replacement must rebuild the
-  // entry's support index: a stale index lets a node whose utility turned
-  // positive through as a uniform zero pick (or rejects one whose utility
-  // dropped to zero), which moves the resolver's accept/reject decisions
-  // off the baseline's for as long as the entry lives.
+  // route a stale entry can take — keeps, recomputes of affected entries,
+  // journal fallbacks after compaction and after AddNode — and still
+  // serves byte-identically to the recompute-everything baseline. Each
+  // replacement must rebuild the entry's support index: a stale index lets
+  // a node whose utility turned positive through as a uniform zero pick
+  // (or rejects one whose utility dropped to zero), which moves the
+  // resolver's accept/reject decisions off the baseline's for as long as
+  // the entry lives.
   Rng graph_rng(51);
   auto weights = PowerLawWeights(200, 2.2);
   auto base = ChungLu(weights, weights, 900, /*directed=*/false, graph_rng);
   ASSERT_TRUE(base.ok());
-  ServiceOptions windowed_options = IncrementalServiceOptions(true);
-  windowed_options.max_patch_window = 2;
-  // Same service, but every multi-delta window recomputes: the difference
-  // in delta_patched between the two is exactly the window patches.
-  ServiceOptions narrow_options = windowed_options;
-  narrow_options.max_patch_window = 1;
-  ServiceReplica windowed(*base, windowed_options);
-  ServiceReplica narrow(*base, narrow_options);
+  ServiceReplica delta(*base, IncrementalServiceOptions(true));
   ServiceReplica baseline(*base, IncrementalServiceOptions(false));
-  windowed.graph.SetJournalCapacity(24);
-  narrow.graph.SetJournalCapacity(24);
-  ServiceReplica* const replicas[] = {&windowed, &narrow, &baseline};
+  delta.graph.SetJournalCapacity(24);
+  ServiceReplica* const replicas[] = {&delta, &baseline};
 
   // A small hot set is served often enough to lag a few relevant deltas
-  // (patch routes) and toggled often enough to also lag many (recompute,
-  // compaction fallback); the rest of the users mostly fall back. The hot
+  // (keeps and recomputes) and toggled often enough to also lag many
+  // (compaction fallback); the rest of the users mostly fall back. The hot
   // users are the 16 lowest-weight nodes: their small supports leave large
   // zero blocks, so most of their picks go through the support index.
   constexpr NodeId kHot = 16;
@@ -932,7 +635,7 @@ TEST(IncrementalServiceTest, EveryRepairRouteServesIdenticallyToBaseline) {
   };
   auto toggle = [&](NodeId u, NodeId v) {
     if (u == v) return;
-    const bool remove = windowed.graph.HasEdge(u, v);
+    const bool remove = delta.graph.HasEdge(u, v);
     for (ServiceReplica* r : replicas) {
       ASSERT_TRUE(remove ? r->service.RemoveEdge(u, v).ok()
                          : r->service.AddEdge(u, v).ok());
@@ -940,31 +643,27 @@ TEST(IncrementalServiceTest, EveryRepairRouteServesIdenticallyToBaseline) {
   };
   auto serve = [&](NodeId user, int op) {
     if (ops_rng.NextBernoulli(0.2)) {
-      auto expected = windowed.service.ServeList(user, 3);
-      for (ServiceReplica* r : {&narrow, &baseline}) {
-        auto list = r->service.ServeList(user, 3);
-        ASSERT_EQ(list.ok(), expected.ok()) << "op " << op;
-        if (!list.ok()) continue;
-        ASSERT_EQ(list->picks.size(), expected->picks.size());
-        for (size_t p = 0; p < list->picks.size(); ++p) {
-          ASSERT_EQ(list->picks[p].node, expected->picks[p].node)
-              << "op " << op << " pick " << p;
-        }
+      auto expected = baseline.service.ServeList(user, 3);
+      auto list = delta.service.ServeList(user, 3);
+      ASSERT_EQ(list.ok(), expected.ok()) << "op " << op;
+      if (!list.ok()) return;
+      ASSERT_EQ(list->picks.size(), expected->picks.size());
+      for (size_t p = 0; p < list->picks.size(); ++p) {
+        ASSERT_EQ(list->picks[p].node, expected->picks[p].node)
+            << "op " << op << " pick " << p;
       }
       return;
     }
-    auto expected = windowed.service.ServeRecommendation(user);
-    for (ServiceReplica* r : {&narrow, &baseline}) {
-      auto rec = r->service.ServeRecommendation(user);
-      ASSERT_EQ(rec.ok(), expected.ok()) << "op " << op;
-      if (rec.ok()) {
-        ASSERT_EQ(*rec, *expected) << "op " << op;
-      }
+    auto expected = baseline.service.ServeRecommendation(user);
+    auto rec = delta.service.ServeRecommendation(user);
+    ASSERT_EQ(rec.ok(), expected.ok()) << "op " << op;
+    if (rec.ok()) {
+      ASSERT_EQ(*rec, *expected) << "op " << op;
     }
   };
   auto run_ops = [&](int first, int last) {
     for (int op = first; op < last; ++op) {
-      const NodeId n = windowed.graph.num_nodes();
+      const NodeId n = delta.graph.num_nodes();
       if (ops_rng.NextBernoulli(0.15)) {
         // A burst of 1-4 toggles, half of them on a hot user's edges.
         const uint64_t burst = 1 + ops_rng.NextBounded(4);
@@ -982,31 +681,26 @@ TEST(IncrementalServiceTest, EveryRepairRouteServesIdenticallyToBaseline) {
 
   run_ops(0, 1500);
   ASSERT_FALSE(HasFatalFailure());
-  const ServiceStats mid = windowed.service.stats();
-  const ServiceStats mid_narrow = narrow.service.stats();
+  const ServiceStats mid = delta.service.stats();
   EXPECT_GT(mid.delta_kept, 0u);
-  EXPECT_GT(mid.delta_patched, 0u);
-  EXPECT_GT(mid.delta_patched, mid_narrow.delta_patched)
-      << "no window patch ran";
-  EXPECT_GT(mid.delta_recomputed, 0u) << "no window passed max_patch_window";
+  EXPECT_GT(mid.delta_recomputed, 0u);
+  EXPECT_EQ(mid.delta_patched, 0u);
   EXPECT_GT(mid.journal_fallbacks, 0u) << "the journal never compacted";
 
   // AddNode clears the journal: the next visit of a cached hot user falls
-  // back, on both delta services.
+  // back.
   for (ServiceReplica* r : replicas) r->graph.AddNode();
   serve(kFirstHot, 1500);
   ASSERT_FALSE(HasFatalFailure());
-  EXPECT_EQ(windowed.service.stats().journal_fallbacks,
+  EXPECT_EQ(delta.service.stats().journal_fallbacks,
             mid.journal_fallbacks + 1);
-  EXPECT_EQ(narrow.service.stats().journal_fallbacks,
-            mid_narrow.journal_fallbacks + 1);
   run_ops(1501, 2000);
   ASSERT_FALSE(HasFatalFailure());
 
   const uint64_t served = baseline.service.stats().served;
   EXPECT_GT(served, 1000u);
-  EXPECT_EQ(windowed.service.stats().served, served);
-  EXPECT_EQ(narrow.service.stats().served, served);
+  EXPECT_EQ(delta.service.stats().served, served);
+  EXPECT_EQ(delta.service.stats().delta_patched, 0u);
 }
 
 TEST(IncrementalServiceTest, CompactedJournalFallsBackAndKeepsServing) {
@@ -1039,8 +733,7 @@ TEST(IncrementalServiceTest, CompactedJournalFallsBackAndKeepsServing) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.journal_fallbacks, 1u);
   EXPECT_EQ(stats.cache_invalidations, 1u);
-  EXPECT_EQ(stats.delta_patched + stats.delta_kept + stats.delta_recomputed,
-            0u);
+  EXPECT_EQ(stats.delta_kept + stats.delta_recomputed, 0u);
   // The repaired entry is current again: an immediate re-serve is a plain
   // hit.
   ASSERT_TRUE(service.ServeRecommendation(0, rng).ok());
@@ -1062,13 +755,12 @@ TEST(IncrementalServiceTest, AddNodeInvalidatesThroughTheFallback) {
   ASSERT_TRUE(service.ServeRecommendation(1, rng).ok());
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.journal_fallbacks, 1u);
-  EXPECT_EQ(stats.delta_kept + stats.delta_patched, 0u);
+  EXPECT_EQ(stats.delta_kept + stats.delta_recomputed, 0u);
 }
 
-TEST(IncrementalServiceTest, MultiDeltaWindowPatchesOnlyAffectedEntries) {
-  // Two toggles land between serves: the affected user is patched in one
-  // ApplyEdgeDeltaBatch pass (sequential multi-delta patching — counted
-  // in delta_patched, no recompute), the unaffected user is still kept.
+TEST(IncrementalServiceTest, MultiDeltaWindowRecomputesOnlyAffectedEntries) {
+  // Two toggles land between serves: the affected user is recomputed
+  // once for the whole window, the unaffected user is still kept.
   DynamicGraph graph(10, /*directed=*/false);
   // 0-1-2 triangle-ish cluster; 5-6-7 cluster far away.
   ASSERT_TRUE(graph.AddEdge(0, 1).ok());
@@ -1092,9 +784,9 @@ TEST(IncrementalServiceTest, MultiDeltaWindowPatchesOnlyAffectedEntries) {
   ASSERT_TRUE(service.ServeRecommendation(0, rng).ok());
   ASSERT_TRUE(service.ServeRecommendation(5, rng).ok());
   const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.delta_patched, 1u);
+  EXPECT_EQ(stats.delta_recomputed, 1u);
   EXPECT_EQ(stats.delta_kept, 1u);
-  EXPECT_EQ(stats.delta_recomputed, 0u);
+  EXPECT_EQ(stats.delta_patched, 0u);
 }
 
 TEST(IncrementalServiceTest, UnaffectedEntryKeepsItsFrozenSampler) {
@@ -1125,61 +817,38 @@ TEST(IncrementalServiceTest, UnaffectedEntryKeepsItsFrozenSampler) {
   EXPECT_EQ(stats.cache_misses, 1u);
 }
 
-TEST(IncrementalServiceTest, AffectFilterPatchesThroughWideSkewedWindows) {
-  // The recompute cliff this PR removes: a wide window of writes landing
-  // far from a cached user used to push the repair past max_patch_window
-  // and force a full recompute, even though only ONE delta mattered.
-  // With the affect filter, max_patch_window bounds RELEVANT deltas: the
-  // 41-toggle window filters to a single delta and takes the O(Δ) patch.
-  const auto build_graph = [] {
-    auto graph = std::make_unique<DynamicGraph>(70, /*directed=*/false);
-    EXPECT_TRUE(graph->AddEdge(0, 1).ok());
-    EXPECT_TRUE(graph->AddEdge(0, 2).ok());
-    EXPECT_TRUE(graph->AddEdge(1, 3).ok());
-    EXPECT_TRUE(graph->AddEdge(2, 3).ok());
-    graph->SetJournalCapacity(256);
-    return graph;
-  };
-  const auto drive = [](RecommendationService& service, Rng& rng) {
-    ASSERT_TRUE(service.ServeRecommendation(0, rng).ok());
-    // One toggle inside user 0's neighborhood...
-    ASSERT_TRUE(service.AddEdge(1, 4).ok());
-    // ...buried under 40 writes in a far-away hot spot (> max_patch_window).
-    for (NodeId i = 0; i < 40; ++i) {
-      ASSERT_TRUE(service.AddEdge(20, 21 + i).ok());
-    }
-    ASSERT_TRUE(service.ServeRecommendation(0, rng).ok());
-  };
-
+TEST(IncrementalServiceTest, WideSkewedWindowRecomputesOnlyTheAffectedUser) {
+  // One toggle inside user 0's neighborhood, buried under 40 writes in a
+  // far-away hot spot: user 0 is recomputed once for the whole 41-delta
+  // window, and users the window cannot reach keep their entries.
+  DynamicGraph graph(70, /*directed=*/false);
+  ASSERT_TRUE(graph.AddEdge(0, 1).ok());
+  ASSERT_TRUE(graph.AddEdge(0, 2).ok());
+  ASSERT_TRUE(graph.AddEdge(1, 3).ok());
+  ASSERT_TRUE(graph.AddEdge(2, 3).ok());
+  ASSERT_TRUE(graph.AddEdge(62, 63).ok());
+  ASSERT_TRUE(graph.AddEdge(63, 64).ok());
+  graph.SetJournalCapacity(256);
   ServiceOptions options = IncrementalServiceOptions(true);
   options.num_shards = 1;
-  ASSERT_EQ(options.max_patch_window, 32u);
-  ASSERT_TRUE(options.enable_affect_filter);
-  {
-    auto graph = build_graph();
-    RecommendationService service(
-        graph.get(), std::make_unique<CommonNeighborsUtility>(), options);
-    Rng rng(91);
-    drive(service, rng);
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.delta_patched, 1u);
-    EXPECT_EQ(stats.delta_recomputed, 0u) << "recompute cliff is back";
-    EXPECT_EQ(stats.filter_dropped_deltas, 40u);
+  RecommendationService service(
+      &graph, std::make_unique<CommonNeighborsUtility>(), options);
+  Rng rng(91);
+  for (NodeId user : {0u, 62u, 64u}) {
+    ASSERT_TRUE(service.ServeRecommendation(user, rng).ok());
   }
-  {
-    // Contrast: same traffic with the filter off is the PR 5 behavior —
-    // the raw window width exceeds max_patch_window and recomputes.
-    options.enable_affect_filter = false;
-    auto graph = build_graph();
-    RecommendationService service(
-        graph.get(), std::make_unique<CommonNeighborsUtility>(), options);
-    Rng rng(91);
-    drive(service, rng);
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.delta_patched, 0u);
-    EXPECT_EQ(stats.delta_recomputed, 1u);
-    EXPECT_EQ(stats.filter_dropped_deltas, 0u);
+  ASSERT_TRUE(service.AddEdge(1, 4).ok());
+  for (NodeId i = 0; i < 40; ++i) {
+    ASSERT_TRUE(service.AddEdge(20, 21 + i).ok());
   }
+  for (NodeId user : {0u, 62u, 64u}) {
+    ASSERT_TRUE(service.ServeRecommendation(user, rng).ok());
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.delta_recomputed, 1u);
+  EXPECT_EQ(stats.delta_kept, 2u);
+  EXPECT_EQ(stats.delta_patched, 0u);
+  EXPECT_EQ(stats.journal_fallbacks, 0u);
 }
 
 TEST(IncrementalServiceTest, DirectedJaccardKeepsEntriesUntouchedByFarWrites) {
@@ -1214,11 +883,11 @@ TEST(IncrementalServiceTest, DirectedJaccardKeepsEntriesUntouchedByFarWrites) {
 }
 
 TEST(IncrementalServiceTest, JaccardServesIdenticallyToBaseline) {
-  // Jaccard's patch is bitwise (intersection recovered, union re-derived),
-  // so the same byte-identical differential as common neighbors must hold
-  // — this drives JaccardUtility::EdgeDeltaAffects through the real
-  // repair path, where a missed union-term dependence would surface as a
-  // diverging serve.
+  // Jaccard's keep test is exact, so the same byte-identical differential
+  // as common neighbors must hold — this drives
+  // JaccardUtility::EdgeDeltaWindowAffects through the real repair path,
+  // where a missed union-term dependence would surface as a diverging
+  // serve.
   Rng graph_rng(151);
   auto weights = PowerLawWeights(150, 2.2);
   auto base = ChungLu(weights, weights, 700, /*directed=*/false, graph_rng);
@@ -1254,7 +923,8 @@ TEST(IncrementalServiceTest, JaccardServesIdenticallyToBaseline) {
   }
   const ServiceStats stats = delta_service.stats();
   EXPECT_GT(stats.delta_kept, 0u);
-  EXPECT_GT(stats.delta_patched, 0u);
+  EXPECT_GT(stats.delta_recomputed, 0u);
+  EXPECT_EQ(stats.delta_patched, 0u);
   EXPECT_EQ(stats.cache_invalidations, 0u);
 }
 
@@ -1511,8 +1181,7 @@ TEST(IncrementalConcurrencyTest, ConcurrentMutateAndDeltaRepairServes) {
   // included.
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, total_success);
   // The mutation rate guarantees the repair machinery actually ran.
-  EXPECT_GT(stats.delta_kept + stats.delta_patched + stats.delta_recomputed +
-                stats.journal_fallbacks,
+  EXPECT_GT(stats.delta_kept + stats.delta_recomputed + stats.journal_fallbacks,
             0u);
 }
 
@@ -1553,16 +1222,11 @@ TEST(IncrementalConcurrencyTest, ConcurrentMutateAndSnapshotPatch) {
           continue;
         }
         const DynamicGraph::StampedSnapshot snap = graph.VersionedSnapshot();
-        // Stamp coherence: the version/edge-count pair and the CSRs come
+        // Stamp coherence: the version/edge-count pair and the CSR come
         // from one immutable allocation, patched or rebuilt alike.
         ASSERT_EQ(snap.num_edges, snap.graph->num_edges());
-        ASSERT_EQ(snap.graph->num_nodes(), snap.in_graph->num_nodes());
-        ASSERT_EQ(snap.graph->num_arcs(), snap.in_graph->num_arcs());
         ASSERT_GE(snap.version, last_version) << "snapshot went backwards";
         last_version = snap.version;
-        if (!directed) {
-          ASSERT_EQ(snap.in_graph.get(), snap.graph.get());
-        }
         snapshots_checked.fetch_add(1);
       }
     });
@@ -1575,9 +1239,6 @@ TEST(IncrementalConcurrencyTest, ConcurrentMutateAndSnapshotPatch) {
     const DynamicGraph::StampedSnapshot final_snap = graph.VersionedSnapshot();
     DynamicGraph mirror(*final_snap.graph);
     EXPECT_TRUE(mirror.SharedSnapshot()->Equals(*final_snap.graph));
-    EXPECT_TRUE(final_snap.in_graph->Equals(directed
-                                                ? Reverse(*final_snap.graph)
-                                                : *final_snap.graph));
   }
 }
 

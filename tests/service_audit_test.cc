@@ -307,14 +307,14 @@ TEST(ServiceAuditPropertyTest, CacheHitEpsilonNeverExceedsChargedEpsilon) {
         << ": cache-hit path leaks more than the charged ε (stale frozen "
            "sampler?)";
     // The delta run only certifies the new machinery if entries really
-    // were kept/patched rather than recomputed: the interleaving must
-    // have driven at least one service through a journal-repair path.
+    // went through journal repair (kept or recomputed) rather than the
+    // fallback: the interleaving must have driven at least one service
+    // through a journal-repair path.
     const ServiceStats base_stats = base_service.stats();
     const ServiceStats neighbor_stats = neighbor_service.stats();
     const uint64_t repairs =
-        base_stats.delta_kept + base_stats.delta_patched +
-        base_stats.delta_recomputed + neighbor_stats.delta_kept +
-        neighbor_stats.delta_patched + neighbor_stats.delta_recomputed;
+        base_stats.delta_kept + base_stats.delta_recomputed +
+        neighbor_stats.delta_kept + neighbor_stats.delta_recomputed;
     if (enable_delta_repair) {
       EXPECT_GT(repairs, 0u)
           << "seed " << seed
@@ -573,10 +573,9 @@ TEST(UnderMutationAuditTest, HonestServiceStaysCertifiedUnderChurn) {
   // its configured ε even while the mutators churn both sides.
   EXPECT_LE(estimate.epsilon_lower_bound, options.release_epsilon);
   // The run only certifies the repair machinery if the churn actually
-  // drove it: cache entries must have been kept/patched/recomputed, and
-  // at the default journal capacity nothing may have fallen back.
-  EXPECT_GT(stats.delta_kept + stats.delta_patched + stats.delta_recomputed,
-            0u);
+  // drove it: cache entries must have been kept or recomputed, and at
+  // the default journal capacity nothing may have fallen back.
+  EXPECT_GT(stats.delta_kept + stats.delta_recomputed, 0u);
   EXPECT_EQ(stats.journal_fallbacks, 0u);
   EXPECT_GT(stats.audit_serves, 0u);
 }
@@ -863,8 +862,8 @@ TEST(NodeDpAuditTest, AuditServesChargeNoBudgetOrWindowUnderNodeModel) {
 // The incremental-update satellite's end-to-end pin: a delta-repaired
 // service over KatzUtility / PersonalizedPageRankUtility must serve
 // BYTE-IDENTICAL sequences to the recompute-everything baseline (their
-// keep test is the exact walk/push cone; their patch route recomputes
-// internally, so repair changes cost, never outcomes).
+// keep test is the exact walk/push cone and affected entries recompute,
+// so repair changes cost, never outcomes).
 
 TEST(NodeDpAuditTest, KatzAndPprDeltaModeServeIdenticallyToBaseline) {
   struct NamedFactory {
@@ -879,8 +878,8 @@ TEST(NodeDpAuditTest, KatzAndPprDeltaModeServeIdenticallyToBaseline) {
   for (const NamedFactory& factory : factories) {
     // Sparse 300-node graph: most toggles fall outside a cached target's
     // walk/push cone (delta_kept), while near-target toggles drive the
-    // patch route (delta_patched) — both must run for the differential
-    // to certify anything.
+    // recompute route (delta_recomputed) — both must run for the
+    // differential to certify anything.
     Rng graph_rng(71);
     auto base = ErdosRenyiGnm(300, 450, /*directed=*/false, graph_rng);
     ASSERT_TRUE(base.ok()) << factory.name;
@@ -936,11 +935,12 @@ TEST(NodeDpAuditTest, KatzAndPprDeltaModeServeIdenticallyToBaseline) {
     const ServiceStats baseline_stats = baseline_service.stats();
     EXPECT_EQ(delta_stats.served, baseline_stats.served) << factory.name;
     // The differential is only meaningful if both repair verdicts ran:
-    // cone-keeps on far toggles AND recompute-inside-patch near the target.
+    // cone-keeps on far toggles AND recomputes near the target.
     EXPECT_GT(delta_stats.delta_kept, 0u) << factory.name;
-    EXPECT_GT(delta_stats.delta_patched, 0u) << factory.name;
+    EXPECT_GT(delta_stats.delta_recomputed, 0u) << factory.name;
+    EXPECT_EQ(delta_stats.delta_patched, 0u) << factory.name;
     EXPECT_EQ(baseline_stats.delta_kept, 0u) << factory.name;
-    EXPECT_EQ(baseline_stats.delta_patched, 0u) << factory.name;
+    EXPECT_EQ(baseline_stats.delta_recomputed, 0u) << factory.name;
     EXPECT_GT(delta_stats.cache_hits, baseline_stats.cache_hits)
         << factory.name;
   }
