@@ -1,21 +1,14 @@
 // 2-hop kernel benchmark: the serve-path floor before and after the
-// vectorized kernel layer (utility/two_hop_kernels.h). Two workloads:
-//
-//   (a) full-vector Compute, naive scatter reference vs kernel, per
-//       utility family (common neighbors, Adamic-Adar, resource
-//       allocation, Jaccard) — the cost of every cache miss and every
-//       delta-window recompute in the serving stack. Vectors are
-//       cross-checked bitwise before timing; the 8k common-neighbors
-//       speedup is gated at >= 2x (the ISSUE acceptance floor).
-//   (b) the intersection primitives under each forced strategy (linear
-//       merge / galloping / blocked merge) plus the adaptive chooser,
-//       over adjacency pairs sampled from the fixture — where the
-//       per-candidate paths (ScoreCandidateTwoHop, incremental rebuilds)
-//       spend their time.
+// vectorized kernel layer (utility/two_hop_kernels.h). Full-vector
+// Compute, naive scatter reference vs kernel, per utility family (common
+// neighbors, Adamic-Adar, resource allocation, Jaccard) — the cost of
+// every cache miss and every delta-window recompute in the serving stack.
+// Vectors are cross-checked bitwise before timing; the 8k
+// common-neighbors speedup is gated at >= 2x.
 //
 // Fixtures: Chung-Lu power-law graphs at 2k/10k and 8k/40k edges
 // (alpha=2.2, the serving-bench fixture) plus a heavier-tailed 8k
-// (alpha=1.8) whose hub/leaf skew forces the galloping regime.
+// (alpha=1.8) with more hub/leaf skew.
 //
 // Output: tables, plus (with --json=PATH) a machine-readable dump;
 // BENCH_two_hop_kernels.json in the repo root is a checked-in run
@@ -24,7 +17,6 @@
 // Flags:
 //   --targets=T   Compute targets sampled per fixture (default 400)
 //   --reps=R      repetitions per measurement, median kept (default 5)
-//   --pairs=P     adjacency pairs for the intersection table (default 4000)
 //   --json=PATH   write results as JSON
 
 #include <algorithm>
@@ -105,7 +97,7 @@ std::vector<NodeId> SampleTargets(const CsrGraph& graph, size_t count) {
   return targets;
 }
 
-// ------------------------------------------------ (a) full-vector Compute
+// ----------------------------------------------------- full-vector Compute
 
 struct ComputeRow {
   const char* graph_name;
@@ -177,70 +169,10 @@ ComputeRow MeasureCompute(const CsrGraph& graph, const GraphConfig& config,
   return row;
 }
 
-// --------------------------------------- (b) intersection strategy table
-
-struct StrategyRow {
-  const char* graph_name;
-  const char* strategy_name;
-  double ns_per_pair = 0;
-  uint64_t checksum = 0;  // Σ |a ∩ b|, identical across strategies
-};
-
-struct PairSet {
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-};
-
-/// Adjacency pairs weighted toward real serve-path shapes: both ends of a
-/// sampled edge (the candidate-scoring case) plus uniformly random node
-/// pairs (the audit/probe case). Zero-degree ends are kept — the kernels
-/// must stay cheap on them too.
-PairSet SamplePairs(const CsrGraph& graph, size_t count) {
-  Rng rng(kTargetSeed + 1);
-  PairSet set;
-  set.pairs.reserve(count);
-  while (set.pairs.size() < count) {
-    const NodeId u = static_cast<NodeId>(rng.NextBounded(graph.num_nodes()));
-    const auto neighbors = graph.OutNeighbors(u);
-    if (!neighbors.empty() && rng.NextBounded(2) == 0) {
-      const NodeId v = neighbors[rng.NextBounded(neighbors.size())];
-      set.pairs.emplace_back(u, v);
-    } else {
-      set.pairs.emplace_back(
-          u, static_cast<NodeId>(rng.NextBounded(graph.num_nodes())));
-    }
-  }
-  return set;
-}
-
-StrategyRow MeasureStrategy(const CsrGraph& graph, const GraphConfig& config,
-                            const char* name, const PairSet& set, int reps,
-                            IntersectStrategy strategy, bool adaptive) {
-  std::vector<double> runs;
-  uint64_t checksum = 0;
-  for (int rep = 0; rep < reps; ++rep) {
-    checksum = 0;
-    Stopwatch watch;
-    for (const auto& [u, v] : set.pairs) {
-      const auto a = graph.OutNeighbors(u);
-      const auto b = graph.OutNeighbors(v);
-      checksum += adaptive ? IntersectCount(a, b)
-                           : IntersectCount(a, b, strategy);
-    }
-    runs.push_back(watch.ElapsedSeconds() * 1e9 / set.pairs.size());
-  }
-  StrategyRow row;
-  row.graph_name = config.name;
-  row.strategy_name = name;
-  row.ns_per_pair = Median(std::move(runs));
-  row.checksum = checksum;
-  return row;
-}
-
 // ------------------------------------------------------------------- JSON
 
 void WriteJson(const std::string& path, size_t targets, int reps,
-               size_t pairs, const std::vector<ComputeRow>& compute_rows,
-               const std::vector<StrategyRow>& strategy_rows) {
+               const std::vector<ComputeRow>& compute_rows) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -255,10 +187,8 @@ void WriteJson(const std::string& path, size_t targets, int reps,
       "fixtures, %zu sampled targets per graph, %d repetitions "
       "(medians), RelWithDebInfo (-O2, no -march flags; see "
       "PRIVREC_NATIVE_ARCH). Vectors are verified bitwise-identical "
-      "before timing, so the speedup compares the same function. The "
-      "intersection table runs %zu sampled adjacency pairs through each "
-      "forced strategy and the adaptive chooser.\",\n",
-      targets, reps, pairs);
+      "before timing, so the speedup compares the same function.\",\n",
+      targets, reps);
   std::fprintf(f,
                "  \"unit_compute\": \"microseconds per full utility-vector "
                "Compute (median)\",\n");
@@ -273,19 +203,6 @@ void WriteJson(const std::string& path, size_t targets, int reps,
                  row.kernel_us, row.naive_us / row.kernel_us,
                  i + 1 < compute_rows.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"unit_intersection\": \"nanoseconds per sorted-adjacency "
-               "intersection (median)\",\n");
-  std::fprintf(f, "  \"intersection_strategies\": [\n");
-  for (size_t i = 0; i < strategy_rows.size(); ++i) {
-    const StrategyRow& row = strategy_rows[i];
-    std::fprintf(f,
-                 "    { \"graph\": \"%s\", \"strategy\": \"%s\", "
-                 "\"ns_per_pair\": %.1f }%s\n",
-                 row.graph_name, row.strategy_name, row.ns_per_pair,
-                 i + 1 < strategy_rows.size() ? "," : "");
-  }
   std::fprintf(f, "  ]\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
@@ -299,11 +216,9 @@ int Main(int argc, char** argv) {
   PRIVREC_CHECK_OK(flags.Parse(argc, argv));
   const size_t targets = static_cast<size_t>(flags.GetInt("targets", 400));
   const int reps = static_cast<int>(flags.GetInt("reps", 5));
-  const size_t pairs = static_cast<size_t>(flags.GetInt("pairs", 4000));
   const std::string json_path = flags.GetString("json", "");
 
   std::vector<ComputeRow> compute_rows;
-  std::vector<StrategyRow> strategy_rows;
 
   for (const GraphConfig& config : kConfigs) {
     const CsrGraph graph = MakeGraph(config);
@@ -313,28 +228,6 @@ int Main(int argc, char** argv) {
     for (const UtilityCase& uc : kUtilityCases) {
       compute_rows.push_back(
           MeasureCompute(graph, config, uc, target_ids, reps));
-    }
-
-    const PairSet pair_set = SamplePairs(graph, pairs);
-    const struct {
-      const char* name;
-      IntersectStrategy strategy;
-      bool adaptive;
-    } kStrategies[] = {
-        {"linear_merge", IntersectStrategy::kLinearMerge, false},
-        {"galloping", IntersectStrategy::kGalloping, false},
-        {"blocked_merge", IntersectStrategy::kBlockedMerge, false},
-        {"adaptive", IntersectStrategy::kLinearMerge, true},
-    };
-    uint64_t checksum = 0;
-    for (const auto& s : kStrategies) {
-      strategy_rows.push_back(MeasureStrategy(graph, config, s.name,
-                                              pair_set, reps, s.strategy,
-                                              s.adaptive));
-      if (checksum == 0) checksum = strategy_rows.back().checksum;
-      // Every strategy must count the same intersections, or the timing
-      // compares different answers.
-      PRIVREC_CHECK(strategy_rows.back().checksum == checksum);
     }
   }
 
@@ -350,14 +243,6 @@ int Main(int argc, char** argv) {
   std::printf("\nfull-vector Compute, naive scatter vs 2-hop kernel\n");
   compute_table.Print();
 
-  TablePrinter strategy_table({"graph", "strategy", "ns/intersection"});
-  for (const StrategyRow& row : strategy_rows) {
-    strategy_table.AddRow({row.graph_name, row.strategy_name,
-                           FormatDouble(row.ns_per_pair, 1)});
-  }
-  std::printf("\nsorted-adjacency intersection, forced strategies\n");
-  strategy_table.Print();
-
   // Acceptance gate: the 8k common-neighbors Compute — the serve path's
   // cache-miss floor — must be at least 2x faster through the kernel.
   for (const ComputeRow& row : compute_rows) {
@@ -368,7 +253,7 @@ int Main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    WriteJson(json_path, targets, reps, pairs, compute_rows, strategy_rows);
+    WriteJson(json_path, targets, reps, compute_rows);
   }
   return 0;
 }

@@ -86,8 +86,8 @@ TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}" \
 
 echo "=== [tsan] ctest -L incremental ==="
 # Incremental-maintenance suite: concurrent mutators racing delta-repair
-# serves (journal drain + keep/patch under the shard mutex) is the payload;
-# the exact-equality property tests ride along under TSAN too.
+# serves (journal drain + keep-or-recompute under the shard mutex) is the
+# payload; the exact-equality property tests ride along under TSAN too.
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}" \
   ctest --preset tsan-incremental
 

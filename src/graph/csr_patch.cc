@@ -23,7 +23,7 @@ struct ArcOp {
 Status NetArcOps(const CsrGraph& prev, std::span<const EdgeDelta> deltas,
                  std::vector<ArcOp>* ops) {
   // Keyed aggregation on packed (src, dst); the window is small (the
-  // caller bounds it by the patch threshold), so a sorted flat vector
+  // caller bounds it by the journal capacity), so a sorted flat vector
   // beats hashing.
   std::vector<std::pair<uint64_t, int>> net;
   net.reserve(deltas.size() * 2);

@@ -188,11 +188,6 @@ void DynamicGraph::SetJournalCapacity(size_t capacity) {
   }
 }
 
-void DynamicGraph::SetSnapshotPatchThreshold(size_t max_deltas) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  snapshot_patch_threshold_ = max_deltas;
-}
-
 void DynamicGraph::SetDegreeCap(uint32_t cap) {
   std::lock_guard<std::mutex> lock(writer_mu_);
   if (degree_cap_.load(std::memory_order_relaxed) == cap) return;
@@ -233,7 +228,7 @@ std::shared_ptr<const DynamicGraph::VersionedCsr> DynamicGraph::BuildLocked()
 
 std::shared_ptr<const DynamicGraph::VersionedCsr> DynamicGraph::TryPatchLocked(
     const std::shared_ptr<const VersionedCsr>& prev) const {
-  if (prev == nullptr || snapshot_patch_threshold_ == 0) return nullptr;
+  if (prev == nullptr) return nullptr;
   FaultInjector* injector = fault_injector_.load(std::memory_order_acquire);
   // Injected splice failure (FaultPoint::kSnapshotPatchFail): behave as if
   // PatchCsr had reported an inconsistency — null routes the caller onto
@@ -247,13 +242,10 @@ std::shared_ptr<const DynamicGraph::VersionedCsr> DynamicGraph::TryPatchLocked(
   // journal bookkeeping.
   if (prev->graph.num_nodes() != adjacency_.size()) return nullptr;
   const uint64_t version = version_.load(std::memory_order_relaxed);
-  if (prev->version >= version ||
-      version - prev->version > snapshot_patch_threshold_) {
-    return nullptr;
-  }
+  if (prev->version >= version) return nullptr;
   // One source of truth for the window index math; OutOfRange here is the
-  // compaction/AddNode fallback. (The O(Δ) copy out of the deque is part
-  // of the patch budget.)
+  // compaction/AddNode fallback, so the journal capacity bounds the window.
+  // (The O(Δ) copy out of the deque is part of the patch budget.)
   Result<std::vector<EdgeDelta>> window =
       EdgeDeltasBetweenLocked(prev->version, version);
   if (!window.ok()) return nullptr;
@@ -345,7 +337,7 @@ DynamicGraph::StampedSnapshot DynamicGraph::SnapshotWriterLocked() const {
       current->version != version_.load(std::memory_order_acquire)) {
     // O(Δ) journal splice into the previous published CSR when possible;
     // from-scratch rebuild otherwise (first snapshot, AddNode, compacted
-    // or over-threshold window).
+    // window).
     auto patched = TryPatchLocked(current);
     current = patched != nullptr ? std::move(patched) : BuildLocked();
     std::lock_guard<std::mutex> publish_lock(snapshot_mu_);

@@ -54,10 +54,10 @@ class WriteAheadLog;  // persist/wal.h
 ///    edge-delta journal covers the window since the previous published
 ///    snapshot, materialization is an O(Δ) splice of that window into the
 ///    previous immutable CSR (graph/csr_patch.h) rather than an O(n+m)
-///    rebuild from the adjacency sets; AddNode, journal compaction, a
-///    window wider than SetSnapshotPatchThreshold, or a splice
-///    inconsistency fall back to the full rebuild. snapshot_patches() /
-///    snapshot_builds() count the two paths.
+///    rebuild from the adjacency sets; the journal capacity bounds that
+///    window. AddNode, journal compaction (or journaling off, capacity 0)
+///    or a splice inconsistency fall back to the full rebuild.
+///    snapshot_patches() / snapshot_builds() count the two paths.
 ///  - A published snapshot is immutable and stamped with the graph
 ///    version (and edge count) it was built at; the stamp and the CSR are
 ///    one allocation, so a reader can never observe a "torn" pair.
@@ -100,14 +100,6 @@ class DynamicGraph {
   /// version only costs the reader a full recompute, so the buffer can be
   /// generous without correctness risk.
   static constexpr size_t kDefaultJournalCapacity = 1024;
-
-  /// Default crossover threshold for patched snapshot publication: windows
-  /// of up to this many journal deltas are spliced into the previous CSR
-  /// (PatchCsr); wider windows fall back to a from-scratch build. Patching
-  /// is memcpy-bound while rebuilding re-hashes every adjacency set, so
-  /// the crossover sits far above typical per-snapshot deltas; the journal
-  /// capacity is the practical ceiling anyway.
-  static constexpr size_t kDefaultSnapshotPatchThreshold = 512;
 
   /// Empty graph on num_nodes nodes.
   DynamicGraph(NodeId num_nodes, bool directed);
@@ -231,13 +223,6 @@ class DynamicGraph {
     return projection_patches_.load(std::memory_order_acquire);
   }
 
-  /// Caps the journal-window size eligible for patched publication; wider
-  /// windows (and windows the journal cannot replay) rebuild from
-  /// scratch. 0 disables patching entirely — every mutation costs the
-  /// next reader a full rebuild, the pre-patching baseline (benchmarks
-  /// and differential tests use this). Takes effect on the next snapshot.
-  void SetSnapshotPatchThreshold(size_t max_deltas);
-
   /// Installs (or, with nullptr, removes) the deterministic fault injector
   /// whose graph-layer points this class evaluates
   /// (serve/fault_injection.h): kJournalCompaction after each journal
@@ -305,10 +290,9 @@ class DynamicGraph {
   /// Attempts the O(Δ) publication path: splice the journal window
   /// (prev->version, version()] into `prev` via PatchCsr.
   /// Returns null — caller falls back to BuildLocked() — when `prev` is
-  /// null, patching is disabled, the node count moved (AddNode), the
-  /// journal was compacted past prev->version, the window exceeds the
-  /// patch threshold, or the splice reports an inconsistency. Caller must
-  /// hold writer_mu_.
+  /// null, the node count moved (AddNode), the journal was compacted past
+  /// prev->version (or journaling is off), or the splice reports an
+  /// inconsistency. Caller must hold writer_mu_.
   std::shared_ptr<const VersionedCsr> TryPatchLocked(
       const std::shared_ptr<const VersionedCsr>& prev) const;
 
@@ -343,7 +327,6 @@ class DynamicGraph {
   uint64_t wal_last_seq_ = 0;
   std::atomic<uint64_t> journal_floor_version_{0};
   size_t journal_capacity_ = kDefaultJournalCapacity;
-  size_t snapshot_patch_threshold_ = kDefaultSnapshotPatchThreshold;
   /// Non-owning fault injector; null = no plan, hook sites cost one
   /// relaxed load (see SetFaultInjector).
   std::atomic<FaultInjector*> fault_injector_{nullptr};

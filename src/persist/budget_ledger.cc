@@ -4,8 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +11,7 @@
 
 #include "common/checksum.h"
 #include "common/logging.h"
+#include "persist/durable_file.h"
 
 namespace privrec {
 namespace {
@@ -67,48 +66,6 @@ bool DecodeRecord(const unsigned char in[kRecordBytes], NodeId* user,
   *user = user_word;
   *eps = BitsToEps(eps_bits);
   return true;
-}
-
-Status FsyncPath(const std::string& path, bool directory) {
-  const int fd =
-      ::open(path.c_str(), directory ? (O_RDONLY | O_DIRECTORY) : O_RDONLY);
-  if (fd < 0) return Status::IOError("cannot open '" + path + "' for fsync");
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) return Status::IOError("fsync failed on '" + path + "'");
-  return Status::OK();
-}
-
-Status WriteAll(int fd, const unsigned char* data, size_t size) {
-  size_t written = 0;
-  while (written < size) {
-    const ssize_t n = ::write(fd, data + written, size - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("ledger write failed: " +
-                             std::string(std::strerror(errno)));
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-/// Writes `data` to `path` atomically: temp file, fsync, rename, dir
-/// fsync. The rename is the commit point.
-Status WriteFileDurably(const std::string& dir, const std::string& path,
-                        const std::vector<unsigned char>& data) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return Status::IOError("cannot create '" + tmp + "'");
-  const Status wrote = WriteAll(fd, data.data(), data.size());
-  const bool synced = ::fsync(fd) == 0;
-  ::close(fd);
-  PRIVREC_RETURN_NOT_OK(wrote);
-  if (!synced) return Status::IOError("fsync failed on '" + tmp + "'");
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IOError("cannot rename '" + tmp + "' to '" + path + "'");
-  }
-  return FsyncPath(dir, /*directory=*/true);
 }
 
 std::vector<unsigned char> SerializeLogHeader(uint64_t first_seq) {

@@ -1,8 +1,5 @@
 #include "persist/checkpoint.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -12,6 +9,7 @@
 #include "common/checksum.h"
 #include "common/logging.h"
 #include "graph/binary_io.h"
+#include "persist/durable_file.h"
 
 namespace privrec {
 namespace {
@@ -21,16 +19,6 @@ constexpr uint32_t kManifestVersion = 1;
 constexpr size_t kManifestHeaderBytes = 24;
 
 std::string ManifestPath(const std::string& dir) { return dir + "/MANIFEST"; }
-
-Status FsyncPath(const std::string& path, bool directory) {
-  const int fd =
-      ::open(path.c_str(), directory ? (O_RDONLY | O_DIRECTORY) : O_RDONLY);
-  if (fd < 0) return Status::IOError("cannot open '" + path + "' for fsync");
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) return Status::IOError("fsync failed on '" + path + "'");
-  return Status::OK();
-}
 
 std::vector<unsigned char> SerializeManifest(const CheckpointManifest& m) {
   const uint32_t name_len = static_cast<uint32_t>(m.graph_file.size());
@@ -62,28 +50,16 @@ Status WriteCheckpoint(const std::string& dir, const CsrGraph& graph,
   const std::string graph_tmp = graph_path + ".tmp";
   PRIVREC_RETURN_NOT_OK(SaveBinaryGraph(graph, graph_tmp));
   PRIVREC_RETURN_NOT_OK(FsyncPath(graph_tmp, /*directory=*/false));
-  if (std::rename(graph_tmp.c_str(), graph_path.c_str()) != 0) {
-    return Status::IOError("cannot rename '" + graph_tmp + "'");
-  }
-  PRIVREC_RETURN_NOT_OK(FsyncPath(dir, /*directory=*/true));
+  PRIVREC_RETURN_NOT_OK(CommitStagedFile(dir, graph_tmp, graph_path));
 
   CheckpointManifest manifest;
   manifest.wal_seq = wal_seq;
   manifest.graph_version = graph_version;
   manifest.graph_file = name;
-  const std::vector<unsigned char> bytes = SerializeManifest(manifest);
   const std::string manifest_path = ManifestPath(dir);
   const std::string manifest_tmp = manifest_path + ".tmp";
-  {
-    std::ofstream out(manifest_tmp, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out.good()) {
-      return Status::IOError("cannot write '" + manifest_tmp + "'");
-    }
-  }
-  PRIVREC_RETURN_NOT_OK(FsyncPath(manifest_tmp, /*directory=*/false));
+  PRIVREC_RETURN_NOT_OK(
+      StageFileDurably(manifest_tmp, SerializeManifest(manifest)));
   // Injected crash at the one interesting instant: the graph file is
   // durable, the manifest is staged, and the commit rename has NOT
   // happened. The previous checkpoint (or none) stays authoritative;
@@ -93,10 +69,7 @@ Status WriteCheckpoint(const std::string& dir, const CsrGraph& graph,
     return Status::IOError(
         "checkpoint crashed before manifest commit (injected)");
   }
-  if (std::rename(manifest_tmp.c_str(), manifest_path.c_str()) != 0) {
-    return Status::IOError("cannot rename '" + manifest_tmp + "'");
-  }
-  return FsyncPath(dir, /*directory=*/true);
+  return CommitStagedFile(dir, manifest_tmp, manifest_path);
 }
 
 Result<CheckpointManifest> ReadCheckpointManifest(const std::string& dir) {

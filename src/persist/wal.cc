@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -13,6 +12,7 @@
 
 #include "common/checksum.h"
 #include "common/logging.h"
+#include "persist/durable_file.h"
 
 namespace privrec {
 namespace {
@@ -63,30 +63,6 @@ bool DecodeRecord(const unsigned char in[kRecordBytes], WalRecord* out) {
   std::memcpy(&out->v, in + 8, 4);
   std::memcpy(&out->seq, in + 16, 8);
   return true;
-}
-
-Status FsyncPath(const std::string& path, bool directory) {
-  const int fd =
-      ::open(path.c_str(), directory ? (O_RDONLY | O_DIRECTORY) : O_RDONLY);
-  if (fd < 0) return Status::IOError("cannot open '" + path + "' for fsync");
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) return Status::IOError("fsync failed on '" + path + "'");
-  return Status::OK();
-}
-
-Status WriteAll(int fd, const unsigned char* data, size_t size) {
-  size_t written = 0;
-  while (written < size) {
-    const ssize_t n = ::write(fd, data + written, size - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("wal write failed: " +
-                             std::string(std::strerror(errno)));
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::OK();
 }
 
 struct SegmentInfo {

@@ -115,18 +115,6 @@ double RecommendationService::SensitivityForLocked(
   return shard.sensitivity;
 }
 
-const DynamicGraph::StampedSnapshot& RecommendationService::PinnedSnapshotLocked(
-    Shard& shard) {
-  // One atomic load on the unmutated fast path; the graph's publication
-  // mutex is only touched when the version actually moved (once per
-  // mutation per shard).
-  if (shard.pinned.graph == nullptr ||
-      shard.pinned.version != graph_->version()) {
-    shard.pinned = graph_->VersionedSnapshot();
-  }
-  return shard.pinned;
-}
-
 void RecommendationService::EvictIfNeededLocked(Shard& shard) {
   if (shard.cache.size() < per_shard_capacity_) return;
   // Runs on nearly every miss once the cache is full (a uniform workload
@@ -255,6 +243,15 @@ PrivacyAccountant& RecommendationService::AccountantForLocked(Shard& shard,
   return it->second;
 }
 
+RecommendationService::CacheEntry RecommendationService::ComputeEntryLocked(
+    Shard& shard, NodeId user, const DynamicGraph::StampedSnapshot& snap,
+    double sensitivity) {
+  // Shared snapshot (no copy) + per-shard workspace: a fresh entry costs
+  // only the utility traversal, not an O(n + m) graph materialization.
+  return CacheEntry(utility_->Compute(ServingView(snap), user, shard.workspace),
+                    sensitivity, shard.index_scratch);
+}
+
 void RecommendationService::RepairEntryLocked(
     Shard& shard, NodeId user, const DynamicGraph::StampedSnapshot& snap,
     double sensitivity, uint64_t version, CacheEntry& entry) {
@@ -270,7 +267,6 @@ void RecommendationService::RepairEntryLocked(
   // unavailable — only the former counts as a stale_fallback_serve.
   bool forced_fallback = false;
   bool attempt_repair = options_.privacy_model == PrivacyModel::kEdge &&
-                        options_.enable_delta_repair &&
                         utility_->SupportsIncrementalUpdate();
   if (attempt_repair && options_.fault_injector != nullptr &&
       options_.fault_injector->ShouldFire(FaultPoint::kRepairFail)) {
@@ -306,8 +302,7 @@ void RecommendationService::RepairEntryLocked(
       // at serving scale, no dearer than splicing the window into the
       // cached vector (README "Keep-or-recompute cache repair").
       Stopwatch repair_watch;
-      entry = CacheEntry(utility_->Compute(*snap.graph, user, shard.workspace),
-                         sensitivity, shard.index_scratch);
+      entry = ComputeEntryLocked(shard, user, snap, sensitivity);
       shard.stats.repair_ns +=
           static_cast<uint64_t>(repair_watch.ElapsedSeconds() * 1e9);
       ++shard.stats.cache_misses;
@@ -320,9 +315,7 @@ void RecommendationService::RepairEntryLocked(
   // Baseline path: the pre-incremental design would have erased this entry
   // at mutation time; recompute it in place now (against the serving view:
   // raw under kEdge, projected under kNode).
-  entry = CacheEntry(
-      utility_->Compute(ServingView(snap), user, shard.workspace),
-      sensitivity, shard.index_scratch);
+  entry = ComputeEntryLocked(shard, user, snap, sensitivity);
   ++shard.stats.cache_misses;
   ++shard.stats.cache_invalidations;
   if (forced_fallback) ++shard.stats.stale_fallback_serves;
@@ -331,17 +324,15 @@ void RecommendationService::RepairEntryLocked(
 Result<RecommendationService::CacheEntry*>
 RecommendationService::GetEntryLocked(
     Shard& shard, NodeId user, const DynamicGraph::StampedSnapshot& snap,
-    double sensitivity, bool need_sampler) {
+    bool need_sampler) {
+  const double sensitivity = SensitivityForLocked(shard, snap);
   ++shard.clock;
   CacheEntry* found = nullptr;
   auto it = shard.slot_of.find(user);
   if (it == shard.slot_of.end()) {
     ++shard.stats.cache_misses;
-    // Shared snapshot (no copy) + per-shard workspace: a cache miss costs
-    // only the utility traversal, not an O(n + m) graph materialization.
     auto fresh = std::make_unique<CacheEntry>(
-        utility_->Compute(ServingView(snap), user, shard.workspace),
-        sensitivity, shard.index_scratch);
+        ComputeEntryLocked(shard, user, snap, sensitivity));
     found = fresh.get();
     EvictIfNeededLocked(shard);
     const bool inserted =
@@ -389,100 +380,172 @@ RecommendationService::GetEntryLocked(
   return &entry;
 }
 
-Result<NodeId> RecommendationService::ServeLocked(Shard& shard, NodeId user,
-                                                  Rng& rng,
-                                                  bool charge_budget) {
-  // Refuse-or-commit charging: budget is checked first (refusals touch
-  // nothing else, so refused traffic costs no cache work), but only
-  // charged AFTER every other failure mode has passed — a failed serve
-  // must never consume lifetime ε it released nothing for. (Cache repair
-  // pins every entry to this call's snapshot before the charge, so the
-  // post-charge zero-block resolution runs against exactly the state the
-  // entry reflects; if it still fails, charging without releasing is the
-  // conservative direction for privacy.)
-  // The audit path (charge_budget == false) skips the accountant entirely
-  // — lifetime AND window state, so audits are budget-neutral in both
-  // ledgers; everything else is byte-identical to the production path.
-  // Injected serve faults surface here too, BEFORE the accountant: a
-  // failed attempt spends nothing, so retrying it is privacy-neutral.
-  PRIVREC_RETURN_NOT_OK(InjectServeFaultsLocked(shard));
-  double charge_eps = options_.release_epsilon;
-  bool degraded = false;
-  if (charge_budget) {
-    PrivacyAccountant& accountant = AccountantForLocked(shard, user);
-    // The request clock ticks exactly once per charged request, before any
-    // affordability check: refused requests still age the window, so a
-    // throttled user recovers by waiting, not by hammering.
-    if (accountant.AdvanceWindow()) ++shard.stats.window_refreshes;
-    if (!accountant.CanCharge(charge_eps)) {
-      ++shard.stats.refused_budget;
-      UpdateBudgetHintLocked(shard, user);
-      return accountant.Charge(charge_eps,
-                               "single recommendation");  // descriptive refusal
+// ------------------------------------------------------------- serve flow
+// dispatch → admit → pin → entry → commit → release. Both release shapes
+// (and their audit variants) run these steps in this order; the shapes
+// hold only their own pre-checks and their release.
+
+template <typename Body>
+std::invoke_result_t<Body&, RecommendationService::Shard&>
+RecommendationService::Dispatch(NodeId user, Body body) {
+  using ServeResult = std::invoke_result_t<Body&, Shard&>;
+  if (user >= graph_->num_nodes()) {
+    return Status::InvalidArgument("user out of range");
+  }
+  Shard& shard = ShardFor(user);
+  uint32_t attempt = 0;
+  for (;;) {
+    Status shed_status;
+    if (!AdmitOrShed(shard, user, &shed_status)) {
+      if (attempt < options_.retry.max_retries) {
+        shard.retries.fetch_add(1, std::memory_order_relaxed);
+        DeterministicBackoff(++attempt);
+        continue;
+      }
+      return ServeResult(shed_status);
     }
-    if (!accountant.CanChargeInWindow(charge_eps)) {
-      // Window exhausted while lifetime budget still has room. kDegrade
-      // retries at the cheaper epsilon (noisier answer, never
-      // over-budget); kReject — or a window too tight even for the
-      // degraded charge — refuses until the window turns over.
-      const BudgetWindowPolicy& policy = accountant.window_policy();
-      if (policy.exhaustion == BudgetWindowPolicy::Exhaustion::kDegrade) {
-        charge_eps = options_.release_epsilon / policy.degrade_factor;
-        degraded = accountant.CanChargeInWindow(charge_eps) &&
-                   accountant.CanCharge(charge_eps);
+    {
+      InflightGuard guard(shard);
+      ServeResult result = [&] {
+        std::lock_guard<std::mutex> lock(shard.mu);
+        return body(shard);
+      }();
+      if (result.ok() || result.status().code() != StatusCode::kUnavailable ||
+          attempt >= options_.retry.max_retries) {
+        return result;
       }
-      if (!degraded) {
-        ++shard.stats.refused_window;
-        UpdateBudgetHintLocked(shard, user);
-        return accountant.Charge(charge_eps, "single recommendation");
-      }
+    }
+    shard.retries.fetch_add(1, std::memory_order_relaxed);
+    DeterministicBackoff(++attempt);
+  }
+}
+
+Result<RecommendationService::Admission> RecommendationService::AdmitLocked(
+    Shard& shard, NodeId user, bool charge_budget, std::string_view reason) {
+  // Injected serve faults surface here, BEFORE the accountant: a failed
+  // attempt spends nothing, so retrying it is privacy-neutral.
+  PRIVREC_RETURN_NOT_OK(InjectServeFaultsLocked(shard));
+  Admission admission{options_.release_epsilon, /*degraded=*/false,
+                      charge_budget};
+  // The audit path skips the accountant entirely — lifetime AND window
+  // state, so audits are budget-neutral in both ledgers.
+  if (!charge_budget) return admission;
+  // Refuse-or-commit charging: the budget is checked here (refusals touch
+  // nothing else, so refused traffic costs no cache work), but charged
+  // only by CommitLocked, after every other failure mode has passed — a
+  // failed serve must never consume ε it released nothing for.
+  PrivacyAccountant& accountant = AccountantForLocked(shard, user);
+  // The request clock ticks exactly once per charged request, before any
+  // affordability check: refused requests still age the window, so a
+  // throttled user recovers by waiting, not by hammering.
+  if (accountant.AdvanceWindow()) ++shard.stats.window_refreshes;
+  if (!accountant.CanCharge(admission.epsilon)) {
+    ++shard.stats.refused_budget;
+    UpdateBudgetHintLocked(shard, user);
+    // A descriptive refusal.
+    return accountant.Charge(admission.epsilon, std::string(reason));
+  }
+  if (!accountant.CanChargeInWindow(admission.epsilon)) {
+    // Window exhausted while lifetime budget still has room. kDegrade
+    // retries at the cheaper epsilon (noisier answer, never over-budget);
+    // kReject — or a window too tight even for the degraded charge —
+    // refuses until the window turns over.
+    const BudgetWindowPolicy& policy = accountant.window_policy();
+    if (policy.exhaustion == BudgetWindowPolicy::Exhaustion::kDegrade) {
+      admission.epsilon = options_.release_epsilon / policy.degrade_factor;
+      admission.degraded = accountant.CanChargeInWindow(admission.epsilon) &&
+                           accountant.CanCharge(admission.epsilon);
+    }
+    if (!admission.degraded) {
+      ++shard.stats.refused_window;
+      UpdateBudgetHintLocked(shard, user);
+      return accountant.Charge(admission.epsilon, std::string(reason));
     }
   }
-  const DynamicGraph::StampedSnapshot& snap = PinnedSnapshotLocked(shard);
-  if (user >= snap.graph->num_nodes()) {
+  return admission;
+}
+
+Result<const DynamicGraph::StampedSnapshot*> RecommendationService::PinLocked(
+    Shard& shard, NodeId user) {
+  // One atomic load on the unmutated fast path; the graph's publication
+  // mutex is only touched when the version actually moved (once per
+  // mutation per shard).
+  if (shard.pinned.graph == nullptr ||
+      shard.pinned.version != graph_->version()) {
+    shard.pinned = graph_->VersionedSnapshot();
+  }
+  if (user >= shard.pinned.graph->num_nodes()) {
     // The caller's bounds check raced an AddNode; the pinned snapshot is
     // authoritative for everything this serve touches.
     return Status::InvalidArgument("user out of range");
   }
-  const double sensitivity = SensitivityForLocked(shard, snap);
+  return &shard.pinned;
+}
+
+Status RecommendationService::CommitLocked(Shard& shard, NodeId user,
+                                           const Admission& admission,
+                                           std::string_view reason) {
+  if (!admission.charged) return Status::OK();
+  if (options_.budget_ledger != nullptr) {
+    // Ledger-before-release: the charge is durable before the noised
+    // answer exists. A failed append refuses the serve with nothing
+    // charged in memory either — utility lost, privacy intact.
+    PRIVREC_RETURN_NOT_OK(
+        options_.budget_ledger->AppendCharge(user, admission.epsilon));
+    ++shard.stats.ledger_appends;
+  }
+  // Cache repair pins every entry to this call's snapshot before the
+  // charge, so the release after it runs against exactly the state the
+  // entry reflects; if it still fails, charging without releasing is the
+  // conservative direction for privacy.
+  PRIVREC_CHECK_OK(AccountantForLocked(shard, user)
+                       .Charge(admission.epsilon, std::string(reason)));
+  UpdateBudgetHintLocked(shard, user);
+  return Status::OK();
+}
+
+void RecommendationService::CountRelease(ServiceStats& stats,
+                                         const Admission& admission,
+                                         uint64_t& audit_counter) {
+  if (!admission.charged) {
+    ++audit_counter;
+    return;
+  }
+  ++stats.served;
+  if (admission.degraded) ++stats.degraded_serves;
+}
+
+Result<NodeId> RecommendationService::ServeLocked(Shard& shard, NodeId user,
+                                                  Rng& rng,
+                                                  bool charge_budget) {
+  constexpr std::string_view kReason = "single recommendation";
+  PRIVREC_ASSIGN_OR_RETURN(const Admission admission,
+                           AdmitLocked(shard, user, charge_budget, kReason));
+  PRIVREC_ASSIGN_OR_RETURN(const DynamicGraph::StampedSnapshot* snap,
+                           PinLocked(shard, user));
   // A degraded serve cannot draw from the frozen sampler (built at the
   // full release_epsilon), so it skips freezing one and samples from a
   // throwaway mechanism below — the frozen sampler stays valid for the
   // full-epsilon serves of the next window.
   PRIVREC_ASSIGN_OR_RETURN(
       CacheEntry * entry,
-      GetEntryLocked(shard, user, snap, sensitivity,
-                     /*need_sampler=*/!degraded));
+      GetEntryLocked(shard, user, *snap, /*need_sampler=*/!admission.degraded));
   std::optional<RecommendationSampler> degraded_sampler;
-  if (degraded) {
-    // Built BEFORE the charge so a sampler failure never spends ε it
-    // released nothing for (the refuse-or-commit idiom above).
-    ExponentialMechanism mechanism(charge_eps, entry->calibration_sensitivity);
+  if (admission.degraded) {
+    // Built BEFORE the commit so a sampler failure never spends ε it
+    // released nothing for.
+    ExponentialMechanism mechanism(admission.epsilon,
+                                   entry->calibration_sensitivity);
     PRIVREC_ASSIGN_OR_RETURN(RecommendationSampler sampler,
                              mechanism.MakeSampler(entry->utilities));
     degraded_sampler.emplace(std::move(sampler));
   }
-  if (charge_budget) {
-    if (options_.budget_ledger != nullptr) {
-      // Ledger-before-release: the charge is durable before the noised
-      // answer exists. A failed append refuses the serve with nothing
-      // charged in memory either — utility lost, privacy intact.
-      PRIVREC_RETURN_NOT_OK(
-          options_.budget_ledger->AppendCharge(user, charge_eps));
-      ++shard.stats.ledger_appends;
-    }
-    PRIVREC_CHECK_OK(AccountantForLocked(shard, user)
-                         .Charge(charge_eps, "single recommendation"));
-    UpdateBudgetHintLocked(shard, user);
-    ++shard.stats.served;
-    if (degraded) ++shard.stats.degraded_serves;
-  } else {
-    ++shard.stats.audit_serves;
-  }
-  const Recommendation rec =
-      degraded ? degraded_sampler->Draw(rng) : entry->sampler->Draw(rng);
+  PRIVREC_RETURN_NOT_OK(CommitLocked(shard, user, admission, kReason));
+  CountRelease(shard.stats, admission, shard.stats.audit_serves);
+  const Recommendation rec = admission.degraded ? degraded_sampler->Draw(rng)
+                                                : entry->sampler->Draw(rng);
   if (!rec.from_zero_block) return rec.node;
-  return ResolveZeroUtilityNode(ServingView(snap), entry->utilities,
+  return ResolveZeroUtilityNode(ServingView(*snap), entry->utilities,
                                 entry->support, {}, rng);
 }
 
@@ -492,55 +555,24 @@ Result<TopKResult> RecommendationService::ServeListLocked(Shard& shard,
                                                           bool charge_budget) {
   if (k == 0) return Status::InvalidArgument("k must be positive");
   const std::string reason = "top-" + std::to_string(k) + " list";
-  // The audit path (charge_budget == false) skips the accountant entirely,
-  // mirroring ServeLocked; everything else is byte-identical. Injected
-  // serve faults surface before the accountant, as in ServeLocked.
-  PRIVREC_RETURN_NOT_OK(InjectServeFaultsLocked(shard));
-  double charge_eps = options_.release_epsilon;
-  bool degraded = false;
-  if (charge_budget) {
-    PrivacyAccountant& accountant = AccountantForLocked(shard, user);
-    // Same window flow as ServeLocked: tick the request clock exactly
-    // once, before the affordability checks.
-    if (accountant.AdvanceWindow()) ++shard.stats.window_refreshes;
-    if (!accountant.CanCharge(charge_eps)) {
-      ++shard.stats.refused_budget;
-      UpdateBudgetHintLocked(shard, user);
-      return accountant.Charge(charge_eps, reason);
-    }
-    if (!accountant.CanChargeInWindow(charge_eps)) {
-      const BudgetWindowPolicy& policy = accountant.window_policy();
-      if (policy.exhaustion == BudgetWindowPolicy::Exhaustion::kDegrade) {
-        charge_eps = options_.release_epsilon / policy.degrade_factor;
-        degraded = accountant.CanChargeInWindow(charge_eps) &&
-                   accountant.CanCharge(charge_eps);
-      }
-      if (!degraded) {
-        ++shard.stats.refused_window;
-        UpdateBudgetHintLocked(shard, user);
-        return accountant.Charge(charge_eps, reason);
-      }
-    }
-  }
-  const DynamicGraph::StampedSnapshot& snap = PinnedSnapshotLocked(shard);
-  if (user >= snap.graph->num_nodes()) {
-    return Status::InvalidArgument("user out of range");
-  }
+  PRIVREC_ASSIGN_OR_RETURN(const Admission admission,
+                           AdmitLocked(shard, user, charge_budget, reason));
+  PRIVREC_ASSIGN_OR_RETURN(const DynamicGraph::StampedSnapshot* snap,
+                           PinLocked(shard, user));
   // Pre-validate what PeelingExponentialTopK would reject — cheap snapshot
   // arithmetic (the paper's candidate convention: everyone but the user
   // and their neighbors), before any cache work or budget commitment. Read
   // from the serving view: under kNode the capped out-degree is what the
   // utility vector will exclude.
-  const CsrGraph& view = ServingView(snap);
+  const CsrGraph& view = ServingView(*snap);
   const uint64_t candidates =
       static_cast<uint64_t>(view.num_nodes()) - 1 - view.OutDegree(user);
   if (candidates < k) {
     return Status::FailedPrecondition("fewer candidates than k");
   }
-  const double sensitivity = SensitivityForLocked(shard, snap);
   PRIVREC_ASSIGN_OR_RETURN(
       CacheEntry * entry,
-      GetEntryLocked(shard, user, snap, sensitivity, /*need_sampler=*/false));
+      GetEntryLocked(shard, user, *snap, /*need_sampler=*/false));
   // Defense-in-depth re-check against the vector the peeling will
   // actually run on. Cache repair pins every entry to `snap` before this
   // point (even AddNode routes through the journal fallback), so today
@@ -550,20 +582,10 @@ Result<TopKResult> RecommendationService::ServeListLocked(Shard& shard,
   if (entry->utilities.num_candidates() < k) {
     return Status::FailedPrecondition("fewer candidates than k");
   }
-  if (charge_budget) {
-    if (options_.budget_ledger != nullptr) {
-      // Same ledger-before-release rule as ServeLocked.
-      PRIVREC_RETURN_NOT_OK(
-          options_.budget_ledger->AppendCharge(user, charge_eps));
-      ++shard.stats.ledger_appends;
-    }
-    PRIVREC_CHECK_OK(AccountantForLocked(shard, user).Charge(charge_eps,
-                                                             reason));
-    UpdateBudgetHintLocked(shard, user);
-  }
+  PRIVREC_RETURN_NOT_OK(CommitLocked(shard, user, admission, reason));
   // Degraded lists run the same peeling mechanism at the cheaper total ε
   // (split ε/k per slot inside) — noisier picks, identical shape.
-  auto result = PeelingExponentialTopK(entry->utilities, k, charge_eps,
+  auto result = PeelingExponentialTopK(entry->utilities, k, admission.epsilon,
                                        entry->calibration_sensitivity, rng);
   if (result.ok()) {
     // Resolve zero-block picks to DISTINCT uniform zero-utility candidates
@@ -584,74 +606,38 @@ Result<TopKResult> RecommendationService::ServeListLocked(Shard& shard,
                                             entry->support, taken, rng));
       taken.push_back(pick.node);
     }
-    if (charge_budget) {
-      ++shard.stats.served;
-      if (degraded) ++shard.stats.degraded_serves;
-    } else {
-      ++shard.stats.audit_list_serves;
-    }
+    CountRelease(shard.stats, admission, shard.stats.audit_list_serves);
   }
   return result;
 }
 
-// Every public serve wrapper — audit overloads included, so audits
-// exercise the same ladder — runs through ServeWithPolicies: admission
-// (shed in O(1) before the mutex), the locked serve body, bounded retry on
-// transient failure.
-
 Result<NodeId> RecommendationService::ServeRecommendation(NodeId user,
                                                           Rng& rng) {
-  if (user >= graph_->num_nodes()) {
-    return Status::InvalidArgument("user out of range");
-  }
-  Shard& shard = ShardFor(user);
-  return ServeWithPolicies(shard, user, [&]() -> Result<NodeId> {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    return ServeLocked(shard, user, rng);
-  });
+  return Dispatch(user,
+                  [&](Shard& shard) { return ServeLocked(shard, user, rng); });
 }
 
 Result<NodeId> RecommendationService::ServeRecommendation(NodeId user) {
-  if (user >= graph_->num_nodes()) {
-    return Status::InvalidArgument("user out of range");
-  }
-  Shard& shard = ShardFor(user);
-  return ServeWithPolicies(shard, user, [&]() -> Result<NodeId> {
-    std::lock_guard<std::mutex> lock(shard.mu);
+  return Dispatch(user, [&](Shard& shard) {
     return ServeLocked(shard, user, shard.rng);
   });
 }
 
 Result<NodeId> RecommendationService::ServeForAudit(NodeId user, Rng& rng) {
-  if (user >= graph_->num_nodes()) {
-    return Status::InvalidArgument("user out of range");
-  }
-  Shard& shard = ShardFor(user);
-  return ServeWithPolicies(shard, user, [&]() -> Result<NodeId> {
-    std::lock_guard<std::mutex> lock(shard.mu);
+  return Dispatch(user, [&](Shard& shard) {
     return ServeLocked(shard, user, rng, /*charge_budget=*/false);
   });
 }
 
 Result<TopKResult> RecommendationService::ServeList(NodeId user, size_t k,
                                                     Rng& rng) {
-  if (user >= graph_->num_nodes()) {
-    return Status::InvalidArgument("user out of range");
-  }
-  Shard& shard = ShardFor(user);
-  return ServeWithPolicies(shard, user, [&]() -> Result<TopKResult> {
-    std::lock_guard<std::mutex> lock(shard.mu);
+  return Dispatch(user, [&](Shard& shard) {
     return ServeListLocked(shard, user, k, rng);
   });
 }
 
 Result<TopKResult> RecommendationService::ServeList(NodeId user, size_t k) {
-  if (user >= graph_->num_nodes()) {
-    return Status::InvalidArgument("user out of range");
-  }
-  Shard& shard = ShardFor(user);
-  return ServeWithPolicies(shard, user, [&]() -> Result<TopKResult> {
-    std::lock_guard<std::mutex> lock(shard.mu);
+  return Dispatch(user, [&](Shard& shard) {
     return ServeListLocked(shard, user, k, shard.rng);
   });
 }
@@ -659,12 +645,7 @@ Result<TopKResult> RecommendationService::ServeList(NodeId user, size_t k) {
 Result<TopKResult> RecommendationService::ServeListForAudit(NodeId user,
                                                             size_t k,
                                                             Rng& rng) {
-  if (user >= graph_->num_nodes()) {
-    return Status::InvalidArgument("user out of range");
-  }
-  Shard& shard = ShardFor(user);
-  return ServeWithPolicies(shard, user, [&]() -> Result<TopKResult> {
-    std::lock_guard<std::mutex> lock(shard.mu);
+  return Dispatch(user, [&](Shard& shard) {
     return ServeListLocked(shard, user, k, rng, /*charge_budget=*/false);
   });
 }

@@ -6,6 +6,8 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -42,15 +44,6 @@ struct ServiceOptions {
   /// overloads. Two services with equal seeds (and equal shard counts)
   /// serve identical sequences for identical call sequences.
   uint64_t seed = 0x5eedf00dULL;
-  /// Keep-or-recompute cache repair (see class comment): when the graph
-  /// moved under a cached entry, drain the edge-delta journal and keep the
-  /// entry — frozen sampler and all — if the utility's exact keep test
-  /// (UtilityFunction::EdgeDeltaWindowAffects) clears the window; only an
-  /// entry the window can change is recomputed. Requires a utility with
-  /// SupportsIncrementalUpdate(). Disabled, every version change costs
-  /// each cached entry a full recompute on its next serve — the baseline
-  /// path the differential tests compare against.
-  bool enable_delta_repair = true;
   /// Which neighboring relation the service's DP guarantee is stated
   /// against (core/privacy_accountant.h). kEdge (default): neighbors
   /// differ in one edge; every release runs on the raw snapshot and
@@ -113,10 +106,10 @@ struct ServiceStats {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   /// Cached entries whose vector had to be rebuilt from scratch because
-  /// journal repair was unavailable (repair disabled, non-incremental
-  /// utility, kNode, or journal fallback). Counted when the stale entry is
-  /// visited, which is when the pre-incremental design would have erased
-  /// it; also counted in cache_misses.
+  /// journal repair was unavailable (non-incremental utility, kNode, or
+  /// journal fallback). Counted when the stale entry is visited, which is
+  /// when the pre-incremental design would have erased it; also counted in
+  /// cache_misses.
   uint64_t cache_invalidations = 0;
   /// Cache hits that could reuse the frozen sampler as-is (no sensitivity
   /// drift since it was built).
@@ -234,9 +227,10 @@ struct ServiceStats {
 ///    recomputed against the snapshot, its sampler re-frozen on demand and
 ///    its calibration re-anchored at the snapshot's Δf;
 ///  - fallback: journal compacted past the entry's version, AddNode in the
-///    window, an injected kRepairFail, repair disabled, kNode, or a
-///    utility without incremental support → full recompute of that entry
-///    (the baseline path), still touching no other entry.
+///    window, an injected kRepairFail, kNode, or a utility without
+///    incremental support → full recompute of that entry (the baseline
+///    path), still touching no other entry. A graph with journaling off
+///    (DynamicGraph::SetJournalCapacity(0)) sends every stale visit here.
 /// Eviction is journal-aware: at capacity, entries the journal floor
 /// already passed (never again repairable) are purged first; LRU applies
 /// only when every entry is still repairable.
@@ -244,6 +238,13 @@ struct ServiceStats {
 /// the pinned snapshot, so each release stays ε-DP calibrated to the
 /// graph state it reflects; the calibration ratchet still covers
 /// sensitivity drift for kept entries.
+///
+/// Serve flow: every Serve* method, audits included, runs the same steps in
+/// the same order — dispatch (range check, shard, shed/retry ladder, shard
+/// mutex) → admit (serve faults, then the budget rule) → pin (snapshot) →
+/// entry (cache lookup or repair) → commit (ledger, then accountant) →
+/// release. The single and list shapes differ only in their release (and
+/// the list's up-front k checks), so no release can escape its charge.
 ///
 /// Thread safety (sharded): users are striped across N shards by a mixed
 /// hash of their id. Each shard owns its slice of the accountant map, the
@@ -476,20 +477,57 @@ class RecommendationService {
   double SensitivityForLocked(Shard& shard,
                               const DynamicGraph::StampedSnapshot& snap);
 
-  /// The shard's pinned snapshot, refreshed from the graph iff the atomic
-  /// version stamp moved. Caller holds `shard.mu`.
-  const DynamicGraph::StampedSnapshot& PinnedSnapshotLocked(Shard& shard);
-
   /// Finds (or creates) the user's accountant. Caller holds `shard.mu`.
   PrivacyAccountant& AccountantForLocked(Shard& shard, NodeId user);
 
+  /// What admission decided: the ε the release is calibrated at (and, when
+  /// charged, spends), and whether the budget window degraded it.
+  struct Admission {
+    double epsilon = 0;
+    bool degraded = false;
+    bool charged = true;  // false on the audit path: no accountant, no ledger
+  };
+
+  /// The one entry of every public Serve* method: range check, shard pick,
+  /// then the overload ladder — admission (shed in O(1) before the mutex),
+  /// `body(shard)` under the shard mutex, bounded retry with deterministic
+  /// backoff on transient (kUnavailable) failures. Retries re-run
+  /// admission: a shard that is still saturated sheds the retry too.
+  /// Budget-neutral by construction — kUnavailable is returned before any
+  /// charge.
+  template <typename Body>
+  std::invoke_result_t<Body&, Shard&> Dispatch(NodeId user, Body body);
+
+  /// The first step under the shard mutex. Runs the injected serve faults
+  /// (InjectServeFaultsLocked), then, for a charged serve, ticks the
+  /// user's budget window and applies the lifetime and window rules:
+  /// kDegrade falls back to release_epsilon / degrade_factor while that
+  /// still fits, anything else is a refusal — counted in refused_budget or
+  /// refused_window and returned with the accountant's message. Charges
+  /// nothing. `reason` names the release in the accountant's records.
+  Result<Admission> AdmitLocked(Shard& shard, NodeId user, bool charge_budget,
+                                std::string_view reason);
+
+  /// The shard's pinned snapshot, refreshed from the graph iff the atomic
+  /// version stamp moved; InvalidArgument when it does not contain `user`.
+  /// Caller holds `shard.mu`.
+  Result<const DynamicGraph::StampedSnapshot*> PinLocked(Shard& shard,
+                                                         NodeId user);
+
   /// Fetches (or computes and caches) the user's entry with its
-  /// calibration ratcheted against `sensitivity`; freezes the alias
+  /// calibration ratcheted against `snap`'s sensitivity; freezes the alias
   /// sampler only when `need_sampler`. Stale entries are repaired first
   /// (RepairEntryLocked). Caller holds `shard.mu`.
   Result<CacheEntry*> GetEntryLocked(Shard& shard, NodeId user,
                                      const DynamicGraph::StampedSnapshot& snap,
-                                     double sensitivity, bool need_sampler);
+                                     bool need_sampler);
+
+  /// A fresh entry for `user`: Compute on ServingView(snap), calibrated at
+  /// `sensitivity`. Every route that replaces a vector (miss, recompute,
+  /// fallback) builds through here. Caller holds `shard.mu`.
+  CacheEntry ComputeEntryLocked(Shard& shard, NodeId user,
+                                const DynamicGraph::StampedSnapshot& snap,
+                                double sensitivity);
 
   /// Brings an entry whose `version` lags `snap` up to date: journal-drain
   /// keep when the window cannot change it, recompute otherwise (see the
@@ -500,8 +538,20 @@ class RecommendationService {
                          double sensitivity, uint64_t version,
                          CacheEntry& entry);
 
-  /// `charge_budget` == false is the ServeForAudit path: skips the
-  /// accountant check-and-charge, counts the release in audit_serves.
+  /// The last step before a release, after the shape's last failure check:
+  /// ledger-before-release (the durable append, then the in-memory charge),
+  /// then the budget hint. A failed append returns with nothing charged.
+  /// No-op for an audit serve.
+  Status CommitLocked(Shard& shard, NodeId user, const Admission& admission,
+                      std::string_view reason);
+
+  /// Counts one completed release: served (and degraded_serves) when
+  /// charged, otherwise `audit_counter`, the shape's audit_* field.
+  static void CountRelease(ServiceStats& stats, const Admission& admission,
+                           uint64_t& audit_counter);
+
+  /// The two release shapes. `charge_budget` == false is the audit path
+  /// (ServeForAudit / ServeListForAudit).
   Result<NodeId> ServeLocked(Shard& shard, NodeId user, Rng& rng,
                              bool charge_budget = true);
   Result<TopKResult> ServeListLocked(Shard& shard, NodeId user, size_t k,
@@ -541,39 +591,6 @@ class RecommendationService {
     }
     Shard& shard;
   };
-
-  /// The overload/degradation ladder every public serve wrapper runs
-  /// through: admission (shed in O(1) before the mutex) -> `body` (which
-  /// takes shard.mu itself) -> bounded retry with deterministic backoff on
-  /// transient (kUnavailable) failures. Retries re-run admission: a shard
-  /// that is still saturated sheds the retry too. Budget-neutral by
-  /// construction — kUnavailable is returned before any charge.
-  template <typename Fn>
-  auto ServeWithPolicies(Shard& shard, NodeId user, Fn body)
-      -> decltype(body()) {
-    uint32_t attempt = 0;
-    for (;;) {
-      Status shed_status;
-      if (!AdmitOrShed(shard, user, &shed_status)) {
-        if (attempt < options_.retry.max_retries) {
-          shard.retries.fetch_add(1, std::memory_order_relaxed);
-          DeterministicBackoff(++attempt);
-          continue;
-        }
-        return decltype(body())(shed_status);
-      }
-      {
-        InflightGuard guard(shard);
-        auto result = body();
-        if (result.ok() || result.status().code() != StatusCode::kUnavailable ||
-            attempt >= options_.retry.max_retries) {
-          return result;
-        }
-      }
-      shard.retries.fetch_add(1, std::memory_order_relaxed);
-      DeterministicBackoff(++attempt);
-    }
-  }
 
   DynamicGraph* graph_;
   std::unique_ptr<UtilityFunction> utility_;

@@ -1,204 +1,11 @@
 #include "utility/two_hop_kernels.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "common/radix_sort.h"
 #include "graph/traversal.h"
 
 namespace privrec {
-namespace {
-
-// ----------------------------------------------------------- count kernels
-
-uint32_t LinearCount(std::span<const NodeId> a, std::span<const NodeId> b,
-                     size_t i, size_t j) {
-  uint32_t count = 0;
-  while (i < a.size() && j < b.size()) {
-    const NodeId x = a[i];
-    const NodeId y = b[j];
-    count += (x == y);
-    i += (x <= y);
-    j += (y <= x);
-  }
-  return count;
-}
-
-uint32_t GallopCount(std::span<const NodeId> small,
-                     std::span<const NodeId> large) {
-  uint32_t count = 0;
-  size_t lo = 0;
-  for (const NodeId x : small) {
-    if (lo >= large.size()) break;
-    // Exponential probe from the moving lower bound, then binary search
-    // inside the bracketed run.
-    size_t bound = 1;
-    while (lo + bound < large.size() && large[lo + bound] < x) bound *= 2;
-    const size_t end = std::min(lo + bound + 1, large.size());
-    const NodeId* it =
-        std::lower_bound(large.data() + lo, large.data() + end, x);
-    lo = static_cast<size_t>(it - large.data());
-    if (lo < large.size() && large[lo] == x) {
-      ++count;
-      ++lo;
-    }
-  }
-  return count;
-}
-
-// Fixed block width of the all-pairs merge. 4x4 keeps the compare matrix
-// in two vector registers on any 128-bit-SIMD baseline while still
-// quartering the branch count of the two-pointer merge.
-constexpr size_t kBlock = 4;
-
-uint32_t BlockedCount(std::span<const NodeId> a, std::span<const NodeId> b) {
-  size_t i = 0;
-  size_t j = 0;
-  uint32_t count = 0;
-  while (i + kBlock <= a.size() && j + kBlock <= b.size()) {
-    // 16 independent, branch-free equality tests — the compiler's
-    // auto-vectorizer turns these into packed compares.
-    uint32_t hits = 0;
-    for (size_t ii = 0; ii < kBlock; ++ii) {
-      const NodeId x = a[i + ii];
-      hits += static_cast<uint32_t>(x == b[j]) +
-              static_cast<uint32_t>(x == b[j + 1]) +
-              static_cast<uint32_t>(x == b[j + 2]) +
-              static_cast<uint32_t>(x == b[j + 3]);
-    }
-    count += hits;
-    // Discard the block(s) with the smaller maximum: every match a
-    // discarded element could still make lies inside the other CURRENT
-    // block and was just tested.
-    const NodeId a_max = a[i + kBlock - 1];
-    const NodeId b_max = b[j + kBlock - 1];
-    i += (a_max <= b_max) ? kBlock : 0;
-    j += (b_max <= a_max) ? kBlock : 0;
-  }
-  return count + LinearCount(a, b, i, j);
-}
-
-// -------------------------------------------------------- weighted kernels
-// Every variant emits matches in ascending id order (see header), so the
-// float accumulation order is strategy-independent.
-
-double LinearWeightedSum(const CsrGraph& graph, std::span<const NodeId> a,
-                         std::span<const NodeId> b, DegreeWeightFn weight,
-                         size_t i, size_t j) {
-  double sum = 0;
-  while (i < a.size() && j < b.size()) {
-    const NodeId x = a[i];
-    const NodeId y = b[j];
-    if (x == y) sum += weight(graph.OutDegree(x));
-    i += (x <= y);
-    j += (y <= x);
-  }
-  return sum;
-}
-
-double GallopWeightedSum(const CsrGraph& graph, std::span<const NodeId> small,
-                         std::span<const NodeId> large, DegreeWeightFn weight) {
-  double sum = 0;
-  size_t lo = 0;
-  for (const NodeId x : small) {
-    if (lo >= large.size()) break;
-    size_t bound = 1;
-    while (lo + bound < large.size() && large[lo + bound] < x) bound *= 2;
-    const size_t end = std::min(lo + bound + 1, large.size());
-    const NodeId* it =
-        std::lower_bound(large.data() + lo, large.data() + end, x);
-    lo = static_cast<size_t>(it - large.data());
-    if (lo < large.size() && large[lo] == x) {
-      sum += weight(graph.OutDegree(x));
-      ++lo;
-    }
-  }
-  return sum;
-}
-
-double BlockedWeightedSum(const CsrGraph& graph, std::span<const NodeId> a,
-                          std::span<const NodeId> b, DegreeWeightFn weight) {
-  size_t i = 0;
-  size_t j = 0;
-  double sum = 0;
-  while (i + kBlock <= a.size() && j + kBlock <= b.size()) {
-    for (size_t ii = 0; ii < kBlock; ++ii) {
-      const NodeId x = a[i + ii];
-      // Branch-free hit test; the weight lookup stays behind a branch
-      // because it chases the degree array (and `weight` is an opaque
-      // function pointer).
-      const bool hit = (x == b[j]) | (x == b[j + 1]) | (x == b[j + 2]) |
-                       (x == b[j + 3]);
-      if (hit) sum += weight(graph.OutDegree(x));
-    }
-    const NodeId a_max = a[i + kBlock - 1];
-    const NodeId b_max = b[j + kBlock - 1];
-    i += (a_max <= b_max) ? kBlock : 0;
-    j += (b_max <= a_max) ? kBlock : 0;
-  }
-  return sum + LinearWeightedSum(graph, a, b, weight, i, j);
-}
-
-}  // namespace
-
-IntersectStrategy ChooseIntersectStrategy(size_t size_a, size_t size_b) {
-  const size_t small = std::min(size_a, size_b);
-  const size_t large = std::max(size_a, size_b);
-  if (small == 0) return IntersectStrategy::kLinearMerge;
-  if (large >= 16 * small) return IntersectStrategy::kGalloping;
-  if (small >= 16) return IntersectStrategy::kBlockedMerge;
-  return IntersectStrategy::kLinearMerge;
-}
-
-uint32_t IntersectCount(std::span<const NodeId> a, std::span<const NodeId> b,
-                        IntersectStrategy strategy) {
-  switch (strategy) {
-    case IntersectStrategy::kGalloping:
-      // Degree-ordered: the shorter list always drives the gallop.
-      return a.size() <= b.size() ? GallopCount(a, b) : GallopCount(b, a);
-    case IntersectStrategy::kBlockedMerge:
-      return BlockedCount(a, b);
-    case IntersectStrategy::kLinearMerge:
-      break;
-  }
-  return LinearCount(a, b, 0, 0);
-}
-
-double IntersectWeightedDegreeSum(const CsrGraph& graph,
-                                  std::span<const NodeId> a,
-                                  std::span<const NodeId> b,
-                                  DegreeWeightFn weight,
-                                  IntersectStrategy strategy) {
-  switch (strategy) {
-    case IntersectStrategy::kGalloping:
-      return a.size() <= b.size() ? GallopWeightedSum(graph, a, b, weight)
-                                  : GallopWeightedSum(graph, b, a, weight);
-    case IntersectStrategy::kBlockedMerge:
-      return BlockedWeightedSum(graph, a, b, weight);
-    case IntersectStrategy::kLinearMerge:
-      break;
-  }
-  return LinearWeightedSum(graph, a, b, weight, 0, 0);
-}
-
-double ScoreCandidateTwoHop(const CsrGraph& graph, NodeId target, NodeId node,
-                            DegreeWeightFn weight) {
-  const std::span<const NodeId> mids = graph.OutNeighbors(target);
-  if (!graph.directed()) {
-    // z → node ⟺ z ∈ N(node) on an undirected graph: the score is a
-    // weighted sorted-list intersection, dispatched adaptively.
-    return IntersectWeightedDegreeSum(graph, mids, graph.OutNeighbors(node),
-                                      weight);
-  }
-  // Directed: the in-adjacency of `node` is not available at this layer,
-  // so probe each intermediate's sorted list (ascending intermediate
-  // order — the same accumulation order as the undirected merge).
-  double score = 0;
-  for (const NodeId z : mids) {
-    if (graph.HasEdge(z, node)) score += weight(graph.OutDegree(z));
-  }
-  return score;
-}
 
 bool TwoHopReaches(const CsrGraph& graph, NodeId target, NodeId node) {
   const std::span<const NodeId> mids = graph.OutNeighbors(target);

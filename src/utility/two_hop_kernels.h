@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 
 #include "graph/csr_graph.h"
 #include "utility/utility_vector.h"
@@ -14,71 +13,6 @@ namespace privrec {
 /// Per-intermediate degree weight of a 2-hop utility, evaluated at an
 /// out-degree.
 using DegreeWeightFn = double (*)(uint32_t degree);
-
-/// How one sorted-list intersection is executed. The kernels pick a
-/// strategy per call (ChooseIntersectStrategy); benches and tests force
-/// each one explicitly.
-enum class IntersectStrategy {
-  /// Classic two-pointer merge: O(|a| + |b|), best when the lists are of
-  /// comparable length and too short to amortize anything cleverer.
-  kLinearMerge,
-  /// Iterate the shorter list, exponential-probe + binary-search the
-  /// longer one from a moving lower bound: O(small · log(large/small)),
-  /// the winner when one list dominates (hub vs leaf).
-  kGalloping,
-  /// Merge in fixed 4x4 blocks of all-pairs equality tests. The 16
-  /// compares per step are branch-free and independent — compilers
-  /// auto-vectorize them (no intrinsics; opt into wider vectors with
-  /// -DPRIVREC_NATIVE_ARCH=ON). Best for two long lists of comparable
-  /// length, where kLinearMerge's per-element branch mispredicts.
-  kBlockedMerge,
-};
-
-/// Adaptive pick (the "degree-ordered" part of the kernel contract: the
-/// caller may pass a and b in either order; the chooser only looks at
-/// sizes). Heuristic: gallop when one list is >= 16x the other, block-merge
-/// when both are >= 16 elements, linear merge otherwise.
-IntersectStrategy ChooseIntersectStrategy(size_t size_a, size_t size_b);
-
-/// |a ∩ b| over sorted, duplicate-free id lists with a forced strategy.
-uint32_t IntersectCount(std::span<const NodeId> a, std::span<const NodeId> b,
-                        IntersectStrategy strategy);
-
-/// Adaptive |a ∩ b|.
-inline uint32_t IntersectCount(std::span<const NodeId> a,
-                               std::span<const NodeId> b) {
-  return IntersectCount(a, b, ChooseIntersectStrategy(a.size(), b.size()));
-}
-
-/// Σ_{z ∈ a ∩ b} weight(out-deg(z)) with a forced strategy. Every strategy
-/// emits matches in ascending id order, so the float accumulation order —
-/// and therefore the result, bit for bit — is independent of the strategy
-/// and identical to a naive probe loop over the shorter list.
-double IntersectWeightedDegreeSum(const CsrGraph& graph,
-                                  std::span<const NodeId> a,
-                                  std::span<const NodeId> b,
-                                  DegreeWeightFn weight,
-                                  IntersectStrategy strategy);
-
-/// Adaptive weighted intersection.
-inline double IntersectWeightedDegreeSum(const CsrGraph& graph,
-                                         std::span<const NodeId> a,
-                                         std::span<const NodeId> b,
-                                         DegreeWeightFn weight) {
-  return IntersectWeightedDegreeSum(
-      graph, a, b, weight, ChooseIntersectStrategy(a.size(), b.size()));
-}
-
-/// Per-candidate intersection-form score: Σ_{z ∈ N_out(target), z→node}
-/// weight(out-deg(z)) — the score a fresh Compute of the Σ-weight family
-/// would assign `node`. Undirected graphs intersect the two sorted
-/// neighbor lists with the adaptive kernel (degree-ordered: the shorter
-/// list drives); directed graphs probe each intermediate's list (the
-/// in-adjacency needed for a merge is not available here). Bitwise-equal
-/// to the naive probe loop (matches accumulate in ascending intermediate
-/// order either way).
-double ScoreCandidateTwoHop(const CsrGraph& graph, NodeId target, NodeId node,
-                            DegreeWeightFn weight);
 
 /// Whether `target` 2-hop-reaches `node` post-window: ∃ z ∈ N_out(target)
 /// with the arc z→node. Degree-ordered midpoint pruning: intermediates are

@@ -186,7 +186,7 @@ TEST(SnapshotPatchTest, RandomizedMutationsEqualFromScratchRebuilds) {
     ASSERT_TRUE(base.ok());
     DynamicGraph patched(*base);
     DynamicGraph rebuilt(*base);
-    rebuilt.SetSnapshotPatchThreshold(0);  // the from-scratch mirror
+    rebuilt.SetJournalCapacity(0);  // the from-scratch mirror
     patched.SetJournalCapacity(8);
     NodeId nodes = 40;
     for (int step = 0; step < 400; ++step) {
@@ -236,33 +236,23 @@ TEST(SnapshotPatchTest, ThresholdAndFallbacksRouteToFullRebuild) {
   EXPECT_EQ(g.snapshot_builds(), 1u);
   EXPECT_EQ(g.snapshot_patches(), 1u);
 
-  g.SetSnapshotPatchThreshold(1);
-  ASSERT_TRUE(g.AddEdge(0, 3).ok());
-  ASSERT_TRUE(g.AddEdge(0, 4).ok());
-  (void)g.VersionedSnapshot();  // two-delta window above threshold: rebuilt
-  EXPECT_EQ(g.snapshot_builds(), 2u);
-  EXPECT_EQ(g.snapshot_patches(), 1u);
-
-  ASSERT_TRUE(g.RemoveEdge(0, 3).ok());
-  (void)g.VersionedSnapshot();  // back under threshold: patched
+  // A 600-delta window is patched too: only the journal capacity bounds it.
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(i % 2 == 0 ? g.AddEdge(3, 4).ok() : g.RemoveEdge(3, 4).ok());
+  }
+  (void)g.VersionedSnapshot();
+  EXPECT_EQ(g.snapshot_builds(), 1u);
   EXPECT_EQ(g.snapshot_patches(), 2u);
 
   g.AddNode();
   (void)g.VersionedSnapshot();  // node growth: no delta describes it
-  EXPECT_EQ(g.snapshot_builds(), 3u);
+  EXPECT_EQ(g.snapshot_builds(), 2u);
   EXPECT_EQ(g.snapshot_patches(), 2u);
 
   g.SetJournalCapacity(0);  // journaling off: every window is OutOfRange
   ASSERT_TRUE(g.AddEdge(1, 2).ok());
   (void)g.VersionedSnapshot();
-  EXPECT_EQ(g.snapshot_builds(), 4u);
-  EXPECT_EQ(g.snapshot_patches(), 2u);
-
-  g.SetJournalCapacity(DynamicGraph::kDefaultJournalCapacity);
-  g.SetSnapshotPatchThreshold(0);  // patching off entirely
-  ASSERT_TRUE(g.AddEdge(1, 3).ok());
-  (void)g.VersionedSnapshot();
-  EXPECT_EQ(g.snapshot_builds(), 5u);
+  EXPECT_EQ(g.snapshot_builds(), 3u);
   EXPECT_EQ(g.snapshot_patches(), 2u);
 }
 
@@ -511,14 +501,13 @@ TEST(SensitivityProbeTest, WorkspaceOverloadAgreesWithConvenienceForm) {
 
 // ---------------------------------------------------- service differential
 
-ServiceOptions IncrementalServiceOptions(bool enable_delta_repair) {
+ServiceOptions IncrementalServiceOptions() {
   ServiceOptions options;
   options.release_epsilon = 0.25;
   options.per_user_budget = 1e6;
   options.cache_capacity = 256;
   options.num_shards = 4;
   options.seed = 2026;
-  options.enable_delta_repair = enable_delta_repair;
   return options;
 }
 
@@ -533,12 +522,14 @@ TEST(IncrementalServiceTest, DeltaModeServesIdenticallyToBaseline) {
   ASSERT_TRUE(base.ok());
   DynamicGraph graph_delta(*base);
   DynamicGraph graph_baseline(*base);
+  // Journaling off: every stale visit takes the exact fallback recompute.
+  graph_baseline.SetJournalCapacity(0);
   RecommendationService delta_service(
       &graph_delta, std::make_unique<CommonNeighborsUtility>(),
-      IncrementalServiceOptions(true));
+      IncrementalServiceOptions());
   RecommendationService baseline_service(
       &graph_baseline, std::make_unique<CommonNeighborsUtility>(),
-      IncrementalServiceOptions(false));
+      IncrementalServiceOptions());
 
   Rng ops_rng(53);
   for (int op = 0; op < 1200; ++op) {
@@ -615,9 +606,10 @@ TEST(IncrementalServiceTest, EveryRepairRouteServesIdenticallyToBaseline) {
   auto weights = PowerLawWeights(200, 2.2);
   auto base = ChungLu(weights, weights, 900, /*directed=*/false, graph_rng);
   ASSERT_TRUE(base.ok());
-  ServiceReplica delta(*base, IncrementalServiceOptions(true));
-  ServiceReplica baseline(*base, IncrementalServiceOptions(false));
+  ServiceReplica delta(*base, IncrementalServiceOptions());
+  ServiceReplica baseline(*base, IncrementalServiceOptions());
   delta.graph.SetJournalCapacity(24);
+  baseline.graph.SetJournalCapacity(0);
   ServiceReplica* const replicas[] = {&delta, &baseline};
 
   // A small hot set is served often enough to lag a few relevant deltas
@@ -713,7 +705,7 @@ TEST(IncrementalServiceTest, CompactedJournalFallsBackAndKeepsServing) {
   graph.SetJournalCapacity(2);
   RecommendationService service(&graph,
                                 std::make_unique<CommonNeighborsUtility>(),
-                                IncrementalServiceOptions(true));
+                                IncrementalServiceOptions());
   Rng rng(63);
   ASSERT_TRUE(service.ServeRecommendation(0, rng).ok());
   Rng mut_rng(65);
@@ -748,7 +740,7 @@ TEST(IncrementalServiceTest, AddNodeInvalidatesThroughTheFallback) {
   ASSERT_TRUE(graph.AddEdge(1, 2).ok());
   RecommendationService service(&graph,
                                 std::make_unique<CommonNeighborsUtility>(),
-                                IncrementalServiceOptions(true));
+                                IncrementalServiceOptions());
   Rng rng(71);
   ASSERT_TRUE(service.ServeRecommendation(1, rng).ok());
   graph.AddNode();
@@ -771,7 +763,7 @@ TEST(IncrementalServiceTest, MultiDeltaWindowRecomputesOnlyAffectedEntries) {
   ASSERT_TRUE(graph.AddEdge(6, 7).ok());
   ASSERT_TRUE(graph.AddEdge(5, 8).ok());
   ASSERT_TRUE(graph.AddEdge(8, 7).ok());
-  ServiceOptions options = IncrementalServiceOptions(true);
+  ServiceOptions options = IncrementalServiceOptions();
   options.num_shards = 1;
   RecommendationService service(
       &graph, std::make_unique<CommonNeighborsUtility>(), options);
@@ -799,7 +791,7 @@ TEST(IncrementalServiceTest, UnaffectedEntryKeepsItsFrozenSampler) {
   ASSERT_TRUE(graph.AddEdge(2, 3).ok());
   ASSERT_TRUE(graph.AddEdge(2, 4).ok());
   ASSERT_TRUE(graph.AddEdge(6, 7).ok());
-  ServiceOptions options = IncrementalServiceOptions(true);
+  ServiceOptions options = IncrementalServiceOptions();
   options.num_shards = 1;
   RecommendationService service(
       &graph, std::make_unique<CommonNeighborsUtility>(), options);
@@ -829,7 +821,7 @@ TEST(IncrementalServiceTest, WideSkewedWindowRecomputesOnlyTheAffectedUser) {
   ASSERT_TRUE(graph.AddEdge(62, 63).ok());
   ASSERT_TRUE(graph.AddEdge(63, 64).ok());
   graph.SetJournalCapacity(256);
-  ServiceOptions options = IncrementalServiceOptions(true);
+  ServiceOptions options = IncrementalServiceOptions();
   options.num_shards = 1;
   RecommendationService service(
       &graph, std::make_unique<CommonNeighborsUtility>(), options);
@@ -862,7 +854,7 @@ TEST(IncrementalServiceTest, DirectedJaccardKeepsEntriesUntouchedByFarWrites) {
   ASSERT_TRUE(graph->AddEdge(0, 2).ok());
   ASSERT_TRUE(graph->AddEdge(3, 1).ok());  // candidate 3: I=1, uni=2
   ASSERT_TRUE(graph->AddEdge(8, 9).ok());
-  ServiceOptions options = IncrementalServiceOptions(true);
+  ServiceOptions options = IncrementalServiceOptions();
   options.num_shards = 1;
   RecommendationService service(graph.get(),
                                 std::make_unique<JaccardUtility>(), options);
@@ -894,12 +886,13 @@ TEST(IncrementalServiceTest, JaccardServesIdenticallyToBaseline) {
   ASSERT_TRUE(base.ok());
   DynamicGraph graph_delta(*base);
   DynamicGraph graph_baseline(*base);
+  graph_baseline.SetJournalCapacity(0);
   RecommendationService delta_service(&graph_delta,
                                       std::make_unique<JaccardUtility>(),
-                                      IncrementalServiceOptions(true));
+                                      IncrementalServiceOptions());
   RecommendationService baseline_service(&graph_baseline,
                                          std::make_unique<JaccardUtility>(),
-                                         IncrementalServiceOptions(false));
+                                         IncrementalServiceOptions());
   Rng ops_rng(153);
   for (int op = 0; op < 800; ++op) {
     if (ops_rng.NextBernoulli(0.15)) {
@@ -939,7 +932,7 @@ TEST(IncrementalServiceTest, JournalAwareEvictionPurgesDoomedEntries) {
   ASSERT_TRUE(base.ok());
   DynamicGraph graph(*base);
   graph.SetJournalCapacity(2);
-  ServiceOptions options = IncrementalServiceOptions(true);
+  ServiceOptions options = IncrementalServiceOptions();
   options.num_shards = 1;
   options.cache_capacity = 3;
   RecommendationService service(&graph,
@@ -996,7 +989,7 @@ TEST(IncrementalServiceTest, EvictionMatchesReferenceModelAndNeverEvictingTwin) 
   DynamicGraph graph(*base);
   DynamicGraph twin_graph(*base);
   graph.SetJournalCapacity(4);
-  ServiceOptions options = IncrementalServiceOptions(true);
+  ServiceOptions options = IncrementalServiceOptions();
   options.num_shards = 1;
   options.cache_capacity = kCapacity;
   RecommendationService service(
@@ -1204,7 +1197,7 @@ TEST(IncrementalConcurrencyTest, ConcurrentMutateAndSnapshotPatch) {
       uint64_t last_version = 0;
       for (uint64_t op = 0; op < kOpsPerThread; ++op) {
         // Every thread both mutates and snapshots, so publication windows
-        // stay small and the patch path (not just the threshold fallback)
+        // stay small and the patch path (not just the rebuild fallback)
         // is what races the mutators.
         if (rng.NextBernoulli(0.3)) {  // mutate (with rare node growth)
           if (rng.NextBernoulli(0.005)) {

@@ -151,7 +151,7 @@ TEST(DegreeCapProjectionTest, DeterministicAcrossServiceShardCounts) {
 TEST(ProjectionSnapshotPatchTest, RandomizedMutationsEqualFromScratch) {
   // Mirror harness: `patched` publishes projected companions via the O(Δ)
   // PatchProjectedCsr route whenever the journal window allows; `rebuilt`
-  // has patching disabled, so every one of its projections is a
+  // has journaling off, so every one of its projections is a
   // from-scratch ProjectDegreeCapped. Both must publish Equals()-identical
   // projections at every sampled version, through small-journal compaction
   // fallbacks and AddNode (which PatchProjectedCsr refuses, falling back
@@ -162,7 +162,7 @@ TEST(ProjectionSnapshotPatchTest, RandomizedMutationsEqualFromScratch) {
     ASSERT_TRUE(base.ok());
     DynamicGraph patched(*base);
     DynamicGraph rebuilt(*base);
-    rebuilt.SetSnapshotPatchThreshold(0);
+    rebuilt.SetJournalCapacity(0);
     patched.SetJournalCapacity(8);
     patched.SetDegreeCap(cap);
     rebuilt.SetDegreeCap(cap);

@@ -215,15 +215,15 @@ TEST(ServiceAuditorTest, AuditEdgeTogglesMergesPairsPerPath) {
 // a certified ε̂ above release_epsilon.
 //
 // Runs in BOTH cache-maintenance modes: delta repair (entries kept or
-// patched through the edge-delta journal — the samplers audited here may
-// never have been recomputed since their vector was first frozen) and the
-// full-recompute baseline. A patch that silently corrupted a vector, or a
-// keep that should have been a patch, surfaces as a certified leak on the
-// delta run; the baseline run keeps the original PR 3 guarantee pinned.
+// recomputed through the edge-delta journal — the samplers audited here
+// may never have been recomputed since their vector was first frozen) and
+// the full-recompute baseline (journaling off). A keep that should have
+// been a recompute surfaces as a certified leak on the delta run; the
+// baseline run keeps the original PR 3 guarantee pinned.
 
 TEST(ServiceAuditPropertyTest, CacheHitEpsilonNeverExceedsChargedEpsilon) {
   const uint64_t trials = AuditTrialsPerSide();
-  for (const bool enable_delta_repair : {true, false}) {
+  for (const bool journaling : {true, false}) {
   for (uint64_t seed : {1ull, 2ull, 3ull}) {
     Rng rng(seed);
     auto g = ErdosRenyiGnm(12, 22, /*directed=*/false, rng);
@@ -239,12 +239,15 @@ TEST(ServiceAuditPropertyTest, CacheHitEpsilonNeverExceedsChargedEpsilon) {
 
     DynamicGraph base_graph(pair->base);
     DynamicGraph neighbor_graph(pair->neighbor);
+    if (!journaling) {
+      base_graph.SetJournalCapacity(0);
+      neighbor_graph.SetJournalCapacity(0);
+    }
     ServiceOptions options;
     options.release_epsilon = 0.7;
     options.per_user_budget = 1e6;
     options.num_shards = 2;
     options.seed = 77;
-    options.enable_delta_repair = enable_delta_repair;
     RecommendationService base_service(
         &base_graph, std::make_unique<CommonNeighborsUtility>(), options);
     RecommendationService neighbor_service(
@@ -303,7 +306,7 @@ TEST(ServiceAuditPropertyTest, CacheHitEpsilonNeverExceedsChargedEpsilon) {
     // The accountant charges release_epsilon per release; the certified
     // empirical ε̂ of the releases must never exceed it.
     EXPECT_LE(estimate.epsilon_lower_bound, options.release_epsilon)
-        << "seed " << seed << " delta_repair=" << enable_delta_repair
+        << "seed " << seed << " journaling=" << journaling
         << ": cache-hit path leaks more than the charged ε (stale frozen "
            "sampler?)";
     // The delta run only certifies the new machinery if entries really
@@ -315,7 +318,7 @@ TEST(ServiceAuditPropertyTest, CacheHitEpsilonNeverExceedsChargedEpsilon) {
     const uint64_t repairs =
         base_stats.delta_kept + base_stats.delta_recomputed +
         neighbor_stats.delta_kept + neighbor_stats.delta_recomputed;
-    if (enable_delta_repair) {
+    if (journaling) {
       EXPECT_GT(repairs, 0u)
           << "seed " << seed
           << ": audit never exercised the delta-repair paths";
@@ -885,15 +888,14 @@ TEST(NodeDpAuditTest, KatzAndPprDeltaModeServeIdenticallyToBaseline) {
     ASSERT_TRUE(base.ok()) << factory.name;
     DynamicGraph graph_delta(*base);
     DynamicGraph graph_baseline(*base);
+    graph_baseline.SetJournalCapacity(0);
     ServiceOptions options;
     options.release_epsilon = 0.25;
     options.per_user_budget = 1e6;
     options.cache_capacity = 256;
     options.num_shards = 4;
     options.seed = 2026;
-    options.enable_delta_repair = true;
     RecommendationService delta_service(&graph_delta, factory.make(), options);
-    options.enable_delta_repair = false;
     RecommendationService baseline_service(&graph_baseline, factory.make(),
                                            options);
     Rng ops_rng(73);

@@ -1,13 +1,16 @@
 // Tests for the serving layer: budget enforcement, cache behavior under
 // graph mutation, and node-DP audit integration.
 
+#include <filesystem>
 #include <memory>
+#include <string>
 
 #include "core/exponential_mechanism.h"
 #include "eval/dp_auditor.h"
 #include "gen/fixtures.h"
 #include "gen/generators.h"
 #include "gtest/gtest.h"
+#include "persist/budget_ledger.h"
 #include "random/rng.h"
 #include "serve/recommendation_service.h"
 #include "utility/common_neighbors.h"
@@ -124,14 +127,13 @@ TEST(ServiceTest, MutationRepairsOnlyAffectedUsers) {
 }
 
 TEST(ServiceTest, BaselineModeRecomputesStaleEntries) {
-  // With delta repair disabled, a version change costs every cached entry
-  // a full recompute on its next visit — the pre-incremental baseline the
+  // With journaling off, a version change costs every cached entry a full
+  // recompute on its next visit — the pre-incremental baseline the
   // differential tests compare against.
   DynamicGraph graph = ServiceGraph();
-  ServiceOptions options = DefaultOptions();
-  options.enable_delta_repair = false;
+  graph.SetJournalCapacity(0);
   RecommendationService service(
-      &graph, std::make_unique<CommonNeighborsUtility>(), options);
+      &graph, std::make_unique<CommonNeighborsUtility>(), DefaultOptions());
   Rng rng(13);
   ASSERT_TRUE(service.ServeRecommendation(0, rng).ok());
   ASSERT_TRUE(service.AddEdge(0, 7).ok() || service.RemoveEdge(0, 7).ok());
@@ -156,6 +158,122 @@ TEST(ServiceTest, ServeListChargesOnceAndReturnsKPicks) {
   EXPECT_EQ(list->picks.size(), 3u);
   // Budget gone after one list.
   EXPECT_FALSE(service.ServeList(0, 3, rng).ok());
+}
+
+// One budget state, driven through both release shapes.
+struct BudgetCase {
+  const char* name;
+  double per_user_budget;
+  BudgetWindowPolicy window;
+  /// Requests served before the ledger is crashed (-1: never).
+  int crash_ledger_after;
+  int requests;
+  /// Final counters every shape must reach.
+  uint64_t served;
+  uint64_t refused_budget;
+  uint64_t refused_window;
+  uint64_t degraded_serves;
+};
+
+BudgetWindowPolicy Window(double refresh_epsilon,
+                          BudgetWindowPolicy::Exhaustion exhaustion) {
+  BudgetWindowPolicy window;
+  window.enabled = true;
+  window.window_length = 4;
+  window.refresh_epsilon = refresh_epsilon;
+  window.exhaustion = exhaustion;
+  window.degrade_factor = 4.0;
+  return window;
+}
+
+TEST(ServiceTest, SingleAndListServesMakeTheSameBudgetDecisions) {
+  // A single pick and a k-slot list spend the same release_epsilon by
+  // sequential composition, so every budget decision must come out the
+  // same for both shapes: each case drives one service with
+  // ServeRecommendation and an identical twin with ServeList, request by
+  // request, and compares status codes, budget counters and spend. Every
+  // service writes a durable ledger, so ledger_appends is compared too.
+  using Exhaustion = BudgetWindowPolicy::Exhaustion;
+  const BudgetCase cases[] = {
+      // 0.5 per release against 1.0: two releases, then lifetime refusals.
+      {"lifetime_exhausted", 1.0, {}, -1, 4, 2, 2, 0, 0},
+      // One full release per 4-request window, the rest refused.
+      {"window_reject", 100.0, Window(0.5, Exhaustion::kReject), -1, 8, 2,
+       0, 6, 0},
+      // Per window: one full release, two at 0.5 / 4, then a refusal.
+      {"window_degrade_affordable", 100.0,
+       Window(0.75, Exhaustion::kDegrade), -1, 8, 6, 0, 2, 4},
+      // The degraded 0.125 no longer fits the 0.5 window either.
+      {"window_degrade_unaffordable", 100.0,
+       Window(0.5, Exhaustion::kDegrade), -1, 8, 2, 0, 6, 0},
+      // A crashed ledger fails the charge, so nothing is released.
+      {"ledger_crashed", 100.0, {}, 2, 4, 2, 0, 0, 0},
+  };
+  const NodeId user = 0;
+  for (const BudgetCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    DynamicGraph single_graph = ServiceGraph();
+    DynamicGraph list_graph = ServiceGraph();
+    auto open_ledger = [&](const std::string& shape) {
+      const std::string dir = ::testing::TempDir() + "/privrec_parity_" +
+                              c.name + "_" + shape;
+      std::error_code ec;
+      std::filesystem::remove_all(dir, ec);
+      auto ledger = BudgetLedger::Open(dir);
+      EXPECT_TRUE(ledger.ok()) << ledger.status().ToString();
+      return std::move(ledger).ValueOrDie();
+    };
+    std::unique_ptr<BudgetLedger> single_ledger = open_ledger("single");
+    std::unique_ptr<BudgetLedger> list_ledger = open_ledger("list");
+    ServiceOptions options = DefaultOptions();
+    options.per_user_budget = c.per_user_budget;
+    options.budget_window = c.window;
+    options.budget_ledger = single_ledger.get();
+    RecommendationService single(
+        &single_graph, std::make_unique<CommonNeighborsUtility>(), options);
+    options.budget_ledger = list_ledger.get();
+    RecommendationService list(
+        &list_graph, std::make_unique<CommonNeighborsUtility>(), options);
+    Rng single_rng(41);
+    Rng list_rng(41);
+    for (int r = 0; r < c.requests; ++r) {
+      SCOPED_TRACE(::testing::Message() << "request " << r);
+      if (r == c.crash_ledger_after) {
+        single_ledger->SimulateCrash();
+        list_ledger->SimulateCrash();
+      }
+      const double remaining = single.RemainingBudget(user);
+      const double window_spent = single.WindowSpent(user);
+      const Status single_status =
+          single.ServeRecommendation(user, single_rng).status();
+      const Status list_status = list.ServeList(user, 3, list_rng).status();
+      ASSERT_EQ(single_status.code(), list_status.code())
+          << single_status.ToString() << " vs " << list_status.ToString();
+      const ServiceStats a = single.stats();
+      const ServiceStats b = list.stats();
+      EXPECT_EQ(a.served, b.served);
+      EXPECT_EQ(a.refused_budget, b.refused_budget);
+      EXPECT_EQ(a.refused_window, b.refused_window);
+      EXPECT_EQ(a.degraded_serves, b.degraded_serves);
+      EXPECT_EQ(a.window_refreshes, b.window_refreshes);
+      EXPECT_EQ(a.ledger_appends, b.ledger_appends);
+      EXPECT_EQ(single.RemainingBudget(user), list.RemainingBudget(user));
+      EXPECT_EQ(single.WindowSpent(user), list.WindowSpent(user));
+      if (!single_status.ok()) {
+        // A refusal charges nothing; a window rollover may only lower the
+        // window spend.
+        EXPECT_EQ(single.RemainingBudget(user), remaining);
+        EXPECT_LE(single.WindowSpent(user), window_spent);
+      }
+    }
+    const ServiceStats stats = list.stats();
+    EXPECT_EQ(stats.served, c.served);
+    EXPECT_EQ(stats.refused_budget, c.refused_budget);
+    EXPECT_EQ(stats.refused_window, c.refused_window);
+    EXPECT_EQ(stats.degraded_serves, c.degraded_serves);
+    EXPECT_EQ(stats.window_refreshes, c.window.enabled ? 1u : 0u);
+    EXPECT_EQ(stats.ledger_appends, c.served);
+  }
 }
 
 TEST(ServiceTest, RejectsUnknownUser) {

@@ -1,8 +1,6 @@
 // Differential tests for the shared 2-hop kernel layer
-// (utility/two_hop_kernels.h): the intersection primitives against a
-// std::set_intersection reference under every forced strategy, and the
-// full-vector kernel against the retained naive scatter reference —
-// bitwise, over randomized directed/undirected graphs including
+// (utility/two_hop_kernels.h): the full-vector kernel against the retained
+// naive scatter reference — bitwise, over randomized directed/undirected graphs including
 // zero-degree nodes and mutual-edge shapes. The production utilities
 // (common neighbors, Adamic-Adar, resource allocation, Jaccard) are held
 // to the same bitwise-identity contract through their public Compute.
@@ -44,101 +42,6 @@ void ExpectBitwiseEqual(const UtilityVector& kernel,
     const double b = naive.nonzero()[i].utility;
     ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0)
         << "bit mismatch at rank " << i << ": " << a << " vs " << b;
-  }
-}
-
-std::vector<NodeId> RandomSortedList(Rng& rng, size_t size, NodeId universe) {
-  std::vector<NodeId> ids;
-  ids.reserve(size);
-  for (size_t i = 0; i < size; ++i) {
-    ids.push_back(static_cast<NodeId>(rng.NextBounded(universe)));
-  }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
-}
-
-uint32_t ReferenceIntersectCount(const std::vector<NodeId>& a,
-                                 const std::vector<NodeId>& b) {
-  std::vector<NodeId> both;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(both));
-  return static_cast<uint32_t>(both.size());
-}
-
-// ------------------------------------------------- intersection primitives
-
-TEST(IntersectStrategyTest, AllStrategiesMatchSetIntersection) {
-  Rng rng(7);
-  const IntersectStrategy kAll[] = {IntersectStrategy::kLinearMerge,
-                                    IntersectStrategy::kGalloping,
-                                    IntersectStrategy::kBlockedMerge};
-  // Size pairs chosen to exercise every chooser regime: empty, tiny,
-  // balanced-long (blocked), and wildly skewed (galloping).
-  const size_t kSizes[][2] = {{0, 0},  {0, 17},  {1, 1},    {3, 5},
-                              {4, 4},  {16, 16}, {64, 64},  {200, 3},
-                              {2, 300}, {128, 4096}, {500, 500}};
-  for (const auto& sizes : kSizes) {
-    for (int rep = 0; rep < 20; ++rep) {
-      const auto a = RandomSortedList(rng, sizes[0], 1000);
-      const auto b = RandomSortedList(rng, sizes[1], 1000);
-      const uint32_t want = ReferenceIntersectCount(a, b);
-      for (IntersectStrategy strategy : kAll) {
-        EXPECT_EQ(IntersectCount(a, b, strategy), want)
-            << "sizes " << a.size() << "x" << b.size();
-        EXPECT_EQ(IntersectCount(b, a, strategy), want);
-      }
-      EXPECT_EQ(IntersectCount(a, b), want);  // adaptive
-    }
-  }
-}
-
-TEST(IntersectStrategyTest, IdenticalAndDisjointLists) {
-  const std::vector<NodeId> a = {1, 5, 9, 12, 40, 41, 42, 90, 91, 100,
-                                 101, 102, 103, 150, 160, 170, 180};
-  std::vector<NodeId> disjoint;
-  for (NodeId v : a) disjoint.push_back(v + 1000);
-  for (IntersectStrategy s : {IntersectStrategy::kLinearMerge,
-                              IntersectStrategy::kGalloping,
-                              IntersectStrategy::kBlockedMerge}) {
-    EXPECT_EQ(IntersectCount(a, a, s), a.size());
-    EXPECT_EQ(IntersectCount(a, disjoint, s), 0u);
-  }
-}
-
-TEST(IntersectStrategyTest, ChooserRegimes) {
-  // Empty lists are always linear (nothing to amortize).
-  EXPECT_EQ(ChooseIntersectStrategy(0, 100), IntersectStrategy::kLinearMerge);
-  // Wild skew gallops, regardless of argument order.
-  EXPECT_EQ(ChooseIntersectStrategy(4, 64), IntersectStrategy::kGalloping);
-  EXPECT_EQ(ChooseIntersectStrategy(64, 4), IntersectStrategy::kGalloping);
-  // Two long comparable lists block-merge.
-  EXPECT_EQ(ChooseIntersectStrategy(100, 120),
-            IntersectStrategy::kBlockedMerge);
-  // Short comparable lists stay linear.
-  EXPECT_EQ(ChooseIntersectStrategy(5, 8), IntersectStrategy::kLinearMerge);
-}
-
-TEST(IntersectStrategyTest, WeightedSumIsStrategyIndependentBitwise) {
-  // Strategy independence must hold for the FLOAT sums too: every
-  // strategy emits matches in ascending id order, so the accumulation
-  // order — and the rounding — is identical.
-  Rng rng(11);
-  auto g = ErdosRenyiGnm(400, 3000, false, rng);
-  ASSERT_TRUE(g.ok());
-  for (int rep = 0; rep < 50; ++rep) {
-    const NodeId u = static_cast<NodeId>(rng.NextBounded(400));
-    const NodeId v = static_cast<NodeId>(rng.NextBounded(400));
-    const auto a = g->OutNeighbors(u);
-    const auto b = g->OutNeighbors(v);
-    const double linear = IntersectWeightedDegreeSum(
-        *g, a, b, &InverseLogDegreeWeight, IntersectStrategy::kLinearMerge);
-    const double gallop = IntersectWeightedDegreeSum(
-        *g, a, b, &InverseLogDegreeWeight, IntersectStrategy::kGalloping);
-    const double blocked = IntersectWeightedDegreeSum(
-        *g, a, b, &InverseLogDegreeWeight, IntersectStrategy::kBlockedMerge);
-    EXPECT_EQ(std::memcmp(&linear, &gallop, sizeof linear), 0);
-    EXPECT_EQ(std::memcmp(&linear, &blocked, sizeof linear), 0);
   }
 }
 
@@ -265,28 +168,7 @@ TEST(TwoHopKernelTest, ScratchRestsAllZeroBetweenCalls) {
   }
 }
 
-// ------------------------------------------ per-candidate kernels
-
-TEST(TwoHopKernelTest, ScoreCandidateMatchesFullVector) {
-  Rng rng(9);
-  for (bool directed : {false, true}) {
-    auto g = ErdosRenyiGnm(250, 1800, directed, rng);
-    ASSERT_TRUE(g.ok());
-    UtilityWorkspace ws;
-    for (int i = 0; i < 20; ++i) {
-      const NodeId target = static_cast<NodeId>(rng.NextBounded(250));
-      UtilityVector u =
-          ComputeTwoHopUtility(*g, target, ws, &InverseLogDegreeWeight,
-                               false);
-      for (const UtilityEntry& e : u.nonzero()) {
-        const double score =
-            ScoreCandidateTwoHop(*g, target, e.node, &InverseLogDegreeWeight);
-        EXPECT_EQ(std::memcmp(&score, &e.utility, sizeof score), 0)
-            << "candidate " << e.node;
-      }
-    }
-  }
-}
+// ------------------------------------------------------- 2-hop reachability
 
 TEST(TwoHopKernelTest, TwoHopReachesAgreesWithUnitScore) {
   Rng rng(13);
@@ -296,9 +178,10 @@ TEST(TwoHopKernelTest, TwoHopReachesAgreesWithUnitScore) {
     for (int i = 0; i < 300; ++i) {
       const NodeId a = static_cast<NodeId>(rng.NextBounded(200));
       const NodeId b = static_cast<NodeId>(rng.NextBounded(200));
-      const bool reaches = TwoHopReaches(*g, a, b);
-      const bool scored = ScoreCandidateTwoHop(*g, a, b, &UnitWeight) > 0.0;
-      EXPECT_EQ(reaches, scored) << a << " -> " << b;
+      // Brute-force probe loop: the common-neighbour score of b for a.
+      uint32_t score = 0;
+      for (const NodeId z : g->OutNeighbors(a)) score += g->HasEdge(z, b);
+      EXPECT_EQ(TwoHopReaches(*g, a, b), score > 0) << a << " -> " << b;
     }
   }
 }
