@@ -202,7 +202,6 @@ MatrixRow MeasureOverloadLadder(int threads, int requests_per_thread,
   options.num_shards = 2;
   options.seed = seed;
   options.fault_injector = &injector;
-  options.overload.enabled = true;
   options.overload.max_inflight_per_shard = 1;
   options.overload.max_queue_depth = 5;
   options.overload.shed_budget_fraction = 0.5;

@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
   // control with budget-aware shedding, and bounded deterministic retries.
   FaultInjector injector;
   options.fault_injector = &injector;
-  options.overload.enabled = true;
   options.overload.max_inflight_per_shard = 2;
   options.overload.max_queue_depth = 6;
   options.overload.shed_budget_fraction = 0.25;

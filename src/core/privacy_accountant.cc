@@ -1,5 +1,8 @@
 #include "core/privacy_accountant.h"
 
+#include <algorithm>
+#include <string>
+
 #include "common/logging.h"
 #include "common/string_util.h"
 
@@ -55,7 +58,7 @@ bool PrivacyAccountant::CanChargeInWindow(double epsilon) const {
              window_.refresh_epsilon * (1.0 + 1e-12) + 1e-12;
 }
 
-Status PrivacyAccountant::Charge(double epsilon, const std::string& reason) {
+Status PrivacyAccountant::Charge(double epsilon, std::string_view reason) {
   if (epsilon < 0) {
     return Status::InvalidArgument("cannot charge negative epsilon");
   }
@@ -63,8 +66,8 @@ Status PrivacyAccountant::Charge(double epsilon, const std::string& reason) {
     return Status::FailedPrecondition(
         std::string(kExhaustedPrefix) + ": spent " +
         FormatDouble(spent_, 4) + " of " + FormatDouble(budget_, 4) +
-        ", cannot charge " + FormatDouble(epsilon, 4) + " for '" + reason +
-        "'");
+        ", cannot charge " + FormatDouble(epsilon, 4) + " for '" +
+        std::string(reason) + "'");
   }
   if (!CanChargeInWindow(epsilon)) {
     // The window bound is enforced HERE too, not only in the caller's
@@ -74,20 +77,16 @@ Status PrivacyAccountant::Charge(double epsilon, const std::string& reason) {
         FormatDouble(window_spent_, 4) + " of " +
         FormatDouble(window_.refresh_epsilon, 4) + " in window " +
         std::to_string(window_index_) + ", cannot charge " +
-        FormatDouble(epsilon, 4) + " for '" + reason + "'");
+        FormatDouble(epsilon, 4) + " for '" + std::string(reason) + "'");
   }
   spent_ += epsilon;
   window_spent_ += epsilon;
-  ledger_.push_back({epsilon, reason});
   return Status::OK();
 }
 
-void PrivacyAccountant::RestoreSpent(double spent,
-                                     const std::string& reason) {
-  if (spent <= spent_) return;
-  const double delta = spent - spent_;
-  spent_ = spent;  // may exceed budget_: remaining() < 0 refuses everything
-  ledger_.push_back({delta, reason});
+void PrivacyAccountant::RestoreSpent(double spent) {
+  // May exceed budget_: remaining() < 0 then refuses everything.
+  spent_ = std::max(spent_, spent);
 }
 
 bool IsBudgetExhausted(const Status& status) {

@@ -2,8 +2,7 @@
 #define PRIVREC_CORE_PRIVACY_ACCOUNTANT_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
+#include <string_view>
 
 #include "common/result.h"
 
@@ -71,29 +70,23 @@ class PrivacyAccountant {
   /// then commit a Charge that cannot fail.
   bool CanCharge(double epsilon) const;
 
-  /// Records an ε-expenditure tagged with a human-readable reason.
-  /// FailedPrecondition (and no charge) if it would exceed the budget.
-  Status Charge(double epsilon, const std::string& reason);
+  /// Records an ε-expenditure. FailedPrecondition (and no charge) if it
+  /// would exceed the budget; `reason` only names the charge in that
+  /// refusal's message.
+  Status Charge(double epsilon, std::string_view reason);
 
   /// Largest ε that can still be charged.
   double MaxAffordable() const { return remaining(); }
 
   /// RECOVERY ONLY: raises spent() to `spent` (no-op when already at or
-  /// above it), recording the delta as a ledger entry. Unlike Charge()
+  /// above it). Unlike Charge()
   /// this may push spent() past the budget — the recovered service then
   /// refuses every charge, which is the correct conservative posture when
   /// the durable ledger says a user already spent more than this
   /// accountant's cap. Never lowers spent(), and deliberately bypasses
   /// the window machinery: windows are request-clock-relative and the
   /// clock restarts with the process, while the lifetime spend must not.
-  void RestoreSpent(double spent, const std::string& reason);
-
-  /// Ledger of successful charges, in order.
-  struct Entry {
-    double epsilon;
-    std::string reason;
-  };
-  const std::vector<Entry>& ledger() const { return ledger_; }
+  void RestoreSpent(double spent);
 
   const BudgetWindowPolicy& window_policy() const { return window_; }
 
@@ -119,7 +112,6 @@ class PrivacyAccountant {
  private:
   double budget_;
   double spent_ = 0;
-  std::vector<Entry> ledger_;
   BudgetWindowPolicy window_;
   double window_spent_ = 0;
   uint64_t window_index_ = 0;

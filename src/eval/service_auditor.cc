@@ -1,14 +1,14 @@
 #include "eval/service_auditor.h"
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/statistics.h"
@@ -22,8 +22,57 @@
 namespace privrec {
 namespace {
 
-/// One identical mutation applied to both sides of a pair for the
-/// post-mutation path.
+/// The four static serve paths AuditPair drives (described at its
+/// declaration). Each is the REAL production path; the auditor only
+/// arranges the service state before sampling. The values double as the
+/// paths' DeriveSeed stream ids.
+enum class ServeAuditPath {
+  kCold = 0,
+  kCacheHit = 1,
+  kPostMutation = 2,
+  kMultiShard = 3,
+};
+
+constexpr ServeAuditPath kAllServeAuditPaths[] = {
+    ServeAuditPath::kCold, ServeAuditPath::kCacheHit,
+    ServeAuditPath::kPostMutation, ServeAuditPath::kMultiShard};
+
+/// The names used in DpAuditResult::per_path.
+const char* ServeAuditPathName(ServeAuditPath path) {
+  switch (path) {
+    case ServeAuditPath::kCold:
+      return "cold";
+    case ServeAuditPath::kCacheHit:
+      return "cache_hit";
+    case ServeAuditPath::kPostMutation:
+      return "post_mutation";
+    case ServeAuditPath::kMultiShard:
+      return "multi_shard";
+  }
+  return "unknown";
+}
+
+/// Shard count of the multi_shard path (every other static path runs one
+/// shard so its state machine is deterministic).
+constexpr size_t kMultiShardCount = 8;
+
+/// DeriveSeed stream ids of the schedule audits (0–3 are the static
+/// paths). Sides 0/1 are the measurement streams; the under-mutation
+/// audit's mirrored mutator draws from side 2; the across-recovery streams
+/// span the crash boundary (the recovered half continues where the
+/// pre-crash half stopped, identically on both sides).
+constexpr uint64_t kMutationPathId = 4;
+constexpr uint64_t kFaultPathId = 5;
+constexpr uint64_t kRecoveryPathId = 6;
+
+uint64_t DeriveSeed(uint64_t root, uint64_t path, uint64_t side) {
+  SplitMix64 mixer(root ^ (path * 0x9e3779b97f4a7c15ULL));
+  mixer.Next();
+  for (uint64_t i = 0; i <= side; ++i) mixer.Next();
+  return mixer.Next() ^ (side + 1);
+}
+
+/// One identical mutation slot on both sides of a pair.
 struct CommonToggle {
   NodeId a = 0;
   NodeId b = 0;
@@ -38,9 +87,8 @@ bool SameUnorderedEdge(NodeId a, NodeId b, NodeId u, NodeId v) {
 /// incident to the target, and is not the pair's differing edge — so
 /// toggling it on BOTH services keeps the graphs neighbors. Prefers a in
 /// N(target): that lands inside the target's 2-hop influence set, forcing
-/// the recompute + re-freeze machinery the post-mutation path exists to
-/// audit (a mutation outside the influence set would only exercise the
-/// kept-entry path and the ratchet).
+/// the recompute + re-freeze machinery (a mutation outside the influence
+/// set would only exercise the kept-entry path and the ratchet).
 std::optional<CommonToggle> ChooseCommonToggle(const NeighboringPair& pair,
                                                NodeId target) {
   const CsrGraph& base = pair.base;
@@ -70,11 +118,10 @@ std::optional<CommonToggle> ChooseCommonToggle(const NeighboringPair& pair,
   return std::nullopt;
 }
 
-/// The one place audit-side ServiceOptions are built: every driver
-/// (per-path, cold per-trial, under-mutation) must configure the audited
-/// services identically — privacy model, degree cap, and the
-/// uncap_projection trip-wire included — or the audit would measure a
-/// service nobody deploys.
+/// The one place audit-side ServiceOptions are built: every audit must
+/// configure the audited services identically — privacy model, degree
+/// cap, and the uncap_projection trip-wire included — or it would measure
+/// a service nobody deploys.
 ServiceOptions MakeAuditServiceOptions(const ServiceAuditOptions& options,
                                        size_t num_shards) {
   ServiceOptions service_options;
@@ -88,236 +135,283 @@ ServiceOptions MakeAuditServiceOptions(const ServiceAuditOptions& options,
   return service_options;
 }
 
-uint64_t DeriveSeed(uint64_t root, uint64_t path, uint64_t side) {
-  SplitMix64 mixer(root ^ (path * 0x9e3779b97f4a7c15ULL));
-  mixer.Next();
-  for (uint64_t i = 0; i <= side; ++i) mixer.Next();
-  return mixer.Next() ^ (side + 1);
-}
-
-/// DeriveSeed path id for the under-mutation audit (0–3 are the
-/// ServeAuditPath values; sides 0/1 = measurement streams, side 2 = the
-/// mirrored mutator's toggle/churn streams).
-constexpr uint64_t kMutationPathId = 4;
-
-/// DeriveSeed path id for the under-faults audit (sides 0/1 = measurement
-/// streams).
-constexpr uint64_t kFaultPathId = 5;
-
-/// DeriveSeed path id for the across-recovery audit (sides 0/1 =
-/// measurement streams; each stream spans the crash boundary — the
-/// recovered half continues where the pre-crash half stopped, identically
-/// on both sides).
-constexpr uint64_t kRecoveryPathId = 6;
-
-/// One serve trial of the configured shape, recorded into `counts`
-/// (single) or `reduction` (list).
-Status RecordShapeTrial(RecommendationService& service, NodeId target,
-                        ServeAuditShape shape, size_t list_k, Rng& rng,
-                        std::map<NodeId, uint64_t>& counts,
-                        ListOutcomeReduction& reduction) {
-  if (shape == ServeAuditShape::kSingle) {
-    PRIVREC_ASSIGN_OR_RETURN(NodeId outcome,
-                             service.ServeForAudit(target, rng));
-    ++counts[outcome];
-    return Status::OK();
-  }
-  PRIVREC_ASSIGN_OR_RETURN(TopKResult list,
-                           service.ServeListForAudit(target, list_k, rng));
-  std::vector<uint32_t> items;
-  items.reserve(list.picks.size());
-  for (const Recommendation& pick : list.picks) {
-    items.push_back(static_cast<uint32_t>(pick.node));
-  }
-  reduction.AddList(items);
-  return Status::OK();
-}
-
-/// Builds the per-path estimate from whichever recorder the shape filled.
-PathEpsilonEstimate EstimateShape(
-    const std::string& path_name, ServeAuditShape shape,
-    const std::map<NodeId, uint64_t>& base_counts,
-    const std::map<NodeId, uint64_t>& neighbor_counts,
-    const ListOutcomeReduction& base_reduction,
-    const ListOutcomeReduction& neighbor_reduction, uint64_t trials,
-    double confidence, size_t bonferroni_override) {
-  if (shape == ServeAuditShape::kSingle) {
-    return EstimateEpsilonFromCounts(path_name, base_counts, neighbor_counts,
-                                     trials, confidence, bonferroni_override);
-  }
-  const EpsilonCellEstimate cells = EstimateEpsilonFromListReductions(
-      base_reduction, neighbor_reduction, confidence, bonferroni_override);
+PathEpsilonEstimate ToPathEstimate(const std::string& path_name,
+                                   uint64_t trials,
+                                   const EpsilonCellEstimate& cells) {
   PathEpsilonEstimate estimate;
   estimate.path = path_name;
   estimate.trials_per_side = trials;
   estimate.epsilon_hat = cells.epsilon_hat;
   estimate.epsilon_lower_bound = cells.epsilon_lower_bound;
-  // Cell ids carry (position | item) or a sequence hash; the low 32 bits
-  // are the item for marginal cells, which is the most useful NodeId-sized
-  // projection for dashboards.
+  // Single-shape cell ids carry the outcome in their low 32 bits; list
+  // cells carry (position | item) or a sequence hash, whose low 32 bits
+  // are the item for marginal cells.
   estimate.worst_outcome = static_cast<NodeId>(cells.worst_cell);
   estimate.worst_z = cells.worst_z;
   estimate.bonferroni_cells = cells.bonferroni_cells;
   return estimate;
 }
 
-/// Largest-remainder apportionment of `total` trials across weights
-/// (deterministic: ties break to the lowest index). Zero/negative weight
-/// vectors fall back to uniform.
-std::vector<uint64_t> Apportion(uint64_t total, std::vector<double> weights) {
-  const size_t n = weights.size();
-  PRIVREC_CHECK_GT(n, 0u);
-  double sum = 0;
-  for (double w : weights) sum += std::max(w, 0.0);
-  if (sum <= 0) {
-    weights.assign(n, 1.0);
-    sum = static_cast<double>(n);
-  }
-  std::vector<uint64_t> alloc(n, 0);
-  std::vector<std::pair<double, size_t>> fractions;
-  fractions.reserve(n);
-  uint64_t assigned = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const double quota =
-        static_cast<double>(total) * std::max(weights[i], 0.0) / sum;
-    alloc[i] = static_cast<uint64_t>(quota);
-    assigned += alloc[i];
-    fractions.emplace_back(quota - static_cast<double>(alloc[i]), i);
-  }
-  std::sort(fractions.begin(), fractions.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
-            });
-  for (size_t i = 0; assigned < total; ++i) {
-    ++alloc[fractions[i % n].second];
-    ++assigned;
-  }
-  return alloc;
-}
-
-/// One audited (path, pair) trial engine, both sides. Construction + Init
-/// reproduce the exact service arrangement the one-shot audit used
-/// (fresh graphs per path, warm-up discard, post-mutation toggle), but the
-/// trial loop is callable in slices so the adaptive allocator can keep
-/// spending on the path whose intervals are widest — RNG streams and
-/// service state persist across slices, so (seed → transcript) stays a
-/// pure function no matter how the budget lands.
-class PathTrialDriver {
+/// The engine under every audit: the same service stack built the same
+/// way on the two graphs of a NeighboringPair, driven by the same calls,
+/// with every trial recorded under a public schedule key — 0 on the static
+/// paths, the round under mutation, the toggle parity under faults and
+/// across recovery. Cells are keyed by (key, outcome), not outcome alone:
+/// the key is public (the auditor controls the schedule), and at equal key
+/// the two sides sit in neighboring states, so every cell of an honest
+/// service is e^ε-bounded even when the graph state moves between trials.
+/// Pooling keys instead would average the per-state ratios, hiding a leak
+/// that peaks in some states behind the states where it does not.
+class MirroredPair {
  public:
-  PathTrialDriver(const ServiceAuditor::UtilityFactory& factory,
-                  const ServiceAuditOptions& options,
-                  const NeighboringPair& pair, NodeId target,
-                  ServeAuditPath path)
+  struct Side {
+    // Declared so that teardown runs service, graph, persist, injector:
+    // services reference graphs, graphs reference WALs and injectors.
+    FaultInjector injector;
+    std::unique_ptr<WriteAheadLog> wal;
+    std::unique_ptr<BudgetLedger> ledger;
+    std::unique_ptr<DynamicGraph> graph;
+    /// Null on the cold path: every trial then builds a fresh service.
+    std::unique_ptr<RecommendationService> service;
+    Rng rng{0};
+    /// Durable state (WAL, ledger, checkpoints); empty for in-memory sides.
+    std::string state_dir;
+    /// Single shape: ((key + 1) << 32) | outcome -> count.
+    OutcomeCellCounts cells;
+    /// List shape: one reduction per key.
+    std::map<uint64_t, ListOutcomeReduction> lists;
+  };
+
+  /// Checks the pair, then builds both sides' graphs (`journal_capacity`
+  /// 0 keeps the DynamicGraph default) and measurement streams.
+  static Result<std::unique_ptr<MirroredPair>> Create(
+      const ServiceAuditor::UtilityFactory& factory,
+      const ServiceAuditOptions& options, const NeighboringPair& pair,
+      NodeId target, uint64_t stream, ServiceOptions service_options,
+      size_t journal_capacity) {
+    if (pair.base.num_nodes() != pair.neighbor.num_nodes() ||
+        pair.base.directed() != pair.neighbor.directed()) {
+      return Status::InvalidArgument(
+          "pair sides disagree on node count or direction");
+    }
+    if (target >= pair.base.num_nodes()) {
+      return Status::InvalidArgument("target out of range");
+    }
+    std::unique_ptr<MirroredPair> sides(new MirroredPair(
+        factory, options, pair, target, std::move(service_options)));
+    for (int s = 0; s < 2; ++s) {
+      Side& side = sides->sides_[s];
+      side.graph = std::make_unique<DynamicGraph>(s == 0 ? pair.base
+                                                         : pair.neighbor);
+      if (journal_capacity > 0) {
+        side.graph->SetJournalCapacity(journal_capacity);
+      }
+      side.rng = Rng(DeriveSeed(options.seed, stream, s));
+    }
+    return sides;
+  }
+
+  Side& side(int s) { return sides_[s]; }
+
+  /// Builds each side's service on its graph, wired to that side's
+  /// injector (disarmed until a schedule installs a plan) and to its WAL
+  /// and ledger when open.
+  void BuildServices() {
+    for (Side& side : sides_) {
+      ServiceOptions service_options = service_options_;
+      service_options.fault_injector = &side.injector;
+      service_options.wal = side.wal.get();
+      service_options.budget_ledger = side.ledger.get();
+      side.service = std::make_unique<RecommendationService>(
+          side.graph.get(), factory_(), service_options);
+    }
+  }
+
+  /// One discarded serve of the configured shape per side, so the trials
+  /// that follow sit on the cached-entry path.
+  Status Warmup() {
+    for (Side& side : sides_) {
+      const Status warm =
+          options_.shape == ServeAuditShape::kSingle
+              ? side.service->ServeForAudit(target_, side.rng).status()
+              : side.service
+                    ->ServeListForAudit(target_, options_.list_k, side.rng)
+                    .status();
+      PRIVREC_RETURN_NOT_OK(warm);
+    }
+    return Status::OK();
+  }
+
+  /// Runs `step(side)` on the base side, then on the neighbor side. Both
+  /// take the same call in mirrored states, so their ok-ness must agree:
+  /// Internal when it does not. When both fail, the base side's error is
+  /// returned — or, with `shared_failure` set, stored there and OK
+  /// returned, for steps whose shared failure is part of the schedule.
+  template <typename Step>
+  Status Mirrored(const char* what, Step&& step,
+                  Status* shared_failure = nullptr) {
+    const Status base = step(sides_[0]);
+    const Status neighbor = step(sides_[1]);
+    if (base.ok() != neighbor.ok()) {
+      return Status::Internal(std::string("mirrored ") + what +
+                              " diverged: '" + base.message() + "' vs '" +
+                              neighbor.message() + "'");
+    }
+    if (shared_failure == nullptr) return base;
+    *shared_failure = base;
+    return Status::OK();
+  }
+
+  /// Picks the common edge slot the toggle schedule flips.
+  Status ChooseToggle(const std::string& schedule) {
+    toggle_ = ChooseCommonToggle(pair_, target_);
+    if (!toggle_.has_value()) {
+      return Status::FailedPrecondition(
+          "no common edge slot available for the " + schedule);
+    }
+    present_ = toggle_->present;
+    return Status::OK();
+  }
+
+  /// Toggles the common slot on both sides (a mirrored call; see Mirrored
+  /// for `rejected`). The slot's state flips only when both succeed.
+  Status ToggleCommonSlot(Status* rejected = nullptr) {
+    PRIVREC_CHECK(toggle_.has_value());
+    PRIVREC_RETURN_NOT_OK(Mirrored(
+        "toggles",
+        [&](Side& side) {
+          return present_ ? side.service->RemoveEdge(toggle_->a, toggle_->b)
+                          : side.service->AddEdge(toggle_->a, toggle_->b);
+        },
+        rejected));
+    if (rejected == nullptr || rejected->ok()) present_ = !present_;
+    return Status::OK();
+  }
+
+  const std::optional<CommonToggle>& toggle() const { return toggle_; }
+  bool present() const { return present_; }
+  /// The toggle schedule's parity key: the graph state cycles with period
+  /// 2, and at equal parity the two sides are neighbors.
+  uint64_t parity() const {
+    return toggle_.has_value() && present_ != toggle_->present ? 1 : 0;
+  }
+
+  void InstallPlan(const FaultPlan& plan) {
+    for (Side& side : sides_) side.injector.Install(plan);
+  }
+
+  /// The determinism contract made observable: mirrored plans driven by
+  /// mirrored call sequences fire identically.
+  void CheckFiresMirrored() const {
+    PRIVREC_CHECK_EQ(sides_[0].injector.total_fires(),
+                     sides_[1].injector.total_fires());
+  }
+
+  /// One trial of the configured shape on each side, recorded under `key`.
+  Status RecordTrial(uint64_t key) {
+    for (Side& side : sides_) {
+      std::unique_ptr<RecommendationService> fresh;
+      RecommendationService* service = side.service.get();
+      if (service == nullptr) {
+        fresh = std::make_unique<RecommendationService>(
+            side.graph.get(), factory_(), service_options_);
+        service = fresh.get();
+      }
+      if (options_.shape == ServeAuditShape::kSingle) {
+        PRIVREC_ASSIGN_OR_RETURN(NodeId outcome,
+                                 service->ServeForAudit(target_, side.rng));
+        ++side.cells[((key + 1) << 32) | static_cast<uint64_t>(outcome)];
+        continue;
+      }
+      PRIVREC_ASSIGN_OR_RETURN(
+          TopKResult list,
+          service->ServeListForAudit(target_, options_.list_k, side.rng));
+      std::vector<uint32_t> items;
+      items.reserve(list.picks.size());
+      for (const Recommendation& pick : list.picks) {
+        items.push_back(static_cast<uint32_t>(pick.node));
+      }
+      side.lists[key].AddList(items);
+    }
+    ++trials_;
+    return Status::OK();
+  }
+
+  /// The estimate over every recorded trial. The single shape tests the
+  /// (key, outcome) cells; the list shape estimates each key's reduction
+  /// at one Bonferroni count shared by all keys and keeps the worst.
+  PathEpsilonEstimate Estimate(const std::string& path_name,
+                               double confidence) const {
+    const size_t override_cells = options_.bonferroni_cells_override;
+    if (options_.shape == ServeAuditShape::kSingle) {
+      return ToPathEstimate(
+          path_name, trials_,
+          EstimateEpsilonFromOutcomeCells(sides_[0].cells, sides_[1].cells,
+                                          trials_, confidence, override_cells,
+                                          /*include_complements=*/false));
+    }
+    size_t total_cells = override_cells;
+    if (total_cells == 0) {
+      for (const auto& [key, base] : sides_[0].lists) {
+        total_cells += EstimateEpsilonFromListReductions(
+                           base, sides_[1].lists.at(key), confidence)
+                           .bonferroni_cells;
+      }
+    }
+    EpsilonCellEstimate worst;
+    for (const auto& [key, base] : sides_[0].lists) {
+      const EpsilonCellEstimate cells = EstimateEpsilonFromListReductions(
+          base, sides_[1].lists.at(key), confidence, total_cells);
+      if (cells.epsilon_hat > worst.epsilon_hat) {
+        worst.epsilon_hat = cells.epsilon_hat;
+        worst.worst_cell = cells.worst_cell;
+      }
+      worst.epsilon_lower_bound =
+          std::max(worst.epsilon_lower_bound, cells.epsilon_lower_bound);
+      worst.worst_z = std::max(worst.worst_z, cells.worst_z);
+    }
+    worst.bonferroni_cells = total_cells;
+    return ToPathEstimate(path_name, trials_, worst);
+  }
+
+  /// One-entry result for the schedule audits.
+  DpAuditResult ScheduleResult(const std::string& path_name) const {
+    DpAuditResult result;
+    result.pairs_checked = 1;
+    result.worst_edge_u = pair_.u;
+    result.worst_edge_v = pair_.v;
+    result.per_path.push_back(Estimate(path_name, options_.confidence));
+    result.max_abs_log_ratio = result.per_path.back().epsilon_hat;
+    return result;
+  }
+
+  /// Both sides' live services' stats, summed.
+  ServiceStats Stats() const {
+    ServiceStats stats = sides_[0].service->stats();
+    stats += sides_[1].service->stats();
+    return stats;
+  }
+
+ private:
+  MirroredPair(const ServiceAuditor::UtilityFactory& factory,
+               const ServiceAuditOptions& options, const NeighboringPair& pair,
+               NodeId target, ServiceOptions service_options)
       : factory_(factory),
         options_(options),
         pair_(pair),
         target_(target),
-        path_(path) {}
-
-  Status Init() {
-    if (path_ == ServeAuditPath::kPostMutation) {
-      toggle_ = ChooseCommonToggle(pair_, target_);
-      if (!toggle_.has_value()) {
-        return Status::FailedPrecondition(
-            "no common edge slot available for the post-mutation toggle");
-      }
-    }
-    for (int side = 0; side < 2; ++side) {
-      SideState& state = sides_[side];
-      const CsrGraph& side_graph = side == 0 ? pair_.base : pair_.neighbor;
-      // Each (path, side) owns a fresh dynamic graph: the post-mutation
-      // path mutates it, and cross-path state bleed would make the audit
-      // depend on path order.
-      state.graph = std::make_unique<DynamicGraph>(side_graph);
-      const ServiceOptions service_options = MakeAuditServiceOptions(
-          options_,
-          path_ == ServeAuditPath::kMultiShard ? options_.multi_shard_count
-                                               : 1);
-      state.rng = Rng(DeriveSeed(options_.seed, static_cast<uint64_t>(path_),
-                                 static_cast<uint64_t>(side)));
-      if (path_ == ServeAuditPath::kCold) continue;
-      state.service = std::make_unique<RecommendationService>(
-          state.graph.get(), factory_(), service_options);
-      // Warm the cache so the sampled trials sit on the path under audit
-      // (the warm-up draw itself is the cold path; discard it).
-      PRIVREC_RETURN_NOT_OK(Warmup(state));
-      if (path_ == ServeAuditPath::kPostMutation) {
-        const Status mutated =
-            toggle_->present
-                ? state.service->RemoveEdge(toggle_->a, toggle_->b)
-                : state.service->AddEdge(toggle_->a, toggle_->b);
-        PRIVREC_RETURN_NOT_OK(mutated);
-      }
-    }
-    return Status::OK();
-  }
-
-  Status RunTrials(uint64_t n) {
-    for (int side = 0; side < 2; ++side) {
-      SideState& state = sides_[side];
-      for (uint64_t t = 0; t < n; ++t) {
-        if (path_ == ServeAuditPath::kCold) {
-          RecommendationService service(state.graph.get(), factory_(),
-                                        MakeAuditServiceOptions(options_, 1));
-          PRIVREC_RETURN_NOT_OK(
-              RecordShapeTrial(service, target_, options_.shape,
-                               options_.list_k, state.rng, state.counts,
-                               state.reduction));
-          continue;
-        }
-        PRIVREC_RETURN_NOT_OK(
-            RecordShapeTrial(*state.service, target_, options_.shape,
-                             options_.list_k, state.rng, state.counts,
-                             state.reduction));
-      }
-    }
-    trials_done_ += n;
-    return Status::OK();
-  }
-
-  uint64_t trials_done() const { return trials_done_; }
-
-  PathEpsilonEstimate Estimate(double confidence) const {
-    return EstimateShape(ServeAuditPathName(path_), options_.shape,
-                         sides_[0].counts, sides_[1].counts,
-                         sides_[0].reduction, sides_[1].reduction,
-                         trials_done_, confidence,
-                         options_.bonferroni_cells_override);
-  }
-
- private:
-  struct SideState {
-    std::unique_ptr<DynamicGraph> graph;
-    std::unique_ptr<RecommendationService> service;  // null for cold
-    Rng rng{0};
-    std::map<NodeId, uint64_t> counts;
-    ListOutcomeReduction reduction;
-  };
-
-  Status Warmup(SideState& state) {
-    if (options_.shape == ServeAuditShape::kSingle) {
-      return state.service->ServeForAudit(target_, state.rng).status();
-    }
-    return state.service
-        ->ServeListForAudit(target_, options_.list_k, state.rng)
-        .status();
-  }
+        service_options_(std::move(service_options)) {}
 
   const ServiceAuditor::UtilityFactory& factory_;
   const ServiceAuditOptions& options_;
   const NeighboringPair& pair_;
-  NodeId target_;
-  ServeAuditPath path_;
+  const NodeId target_;
+  const ServiceOptions service_options_;
+  Side sides_[2];
   std::optional<CommonToggle> toggle_;
-  SideState sides_[2];
-  uint64_t trials_done_ = 0;
+  bool present_ = false;
+  uint64_t trials_ = 0;
 };
-
-ServiceStats SumStats(ServiceStats a, const ServiceStats& b) {
-  a += b;
-  return a;
-}
 
 }  // namespace
 
@@ -326,44 +420,15 @@ PathEpsilonEstimate EstimateEpsilonFromCounts(
     const std::map<NodeId, uint64_t>& base_counts,
     const std::map<NodeId, uint64_t>& neighbor_counts, uint64_t trials,
     double confidence, size_t bonferroni_override) {
-  // Thin adapter over the shared outcome-cell kit (common/statistics.h):
-  // NodeId outcomes are already 64-bit-safe cell ids, and the kit computes
-  // the identical per-interval confidence 1 - (1-γ)/(2m), half-count
-  // floors, and CP-box certified bounds this function always used.
-  OutcomeCellCounts base_cells;
-  OutcomeCellCounts neighbor_cells;
-  for (const auto& [node, count] : base_counts) {
-    base_cells[static_cast<uint64_t>(node)] = count;
-  }
-  for (const auto& [node, count] : neighbor_counts) {
-    neighbor_cells[static_cast<uint64_t>(node)] = count;
-  }
-  const EpsilonCellEstimate cells = EstimateEpsilonFromOutcomeCells(
-      base_cells, neighbor_cells, trials, confidence, bonferroni_override,
-      /*include_complements=*/false);
-  PathEpsilonEstimate estimate;
-  estimate.path = path_name;
-  estimate.trials_per_side = trials;
-  estimate.epsilon_hat = cells.epsilon_hat;
-  estimate.epsilon_lower_bound = cells.epsilon_lower_bound;
-  estimate.worst_outcome = static_cast<NodeId>(cells.worst_cell);
-  estimate.worst_z = cells.worst_z;
-  estimate.bonferroni_cells = cells.bonferroni_cells;
-  return estimate;
-}
-
-const char* ServeAuditPathName(ServeAuditPath path) {
-  switch (path) {
-    case ServeAuditPath::kCold:
-      return "cold";
-    case ServeAuditPath::kCacheHit:
-      return "cache_hit";
-    case ServeAuditPath::kPostMutation:
-      return "post_mutation";
-    case ServeAuditPath::kMultiShard:
-      return "multi_shard";
-  }
-  return "unknown";
+  // NodeId outcomes are already 64-bit-safe cell ids.
+  OutcomeCellCounts base_cells(base_counts.begin(), base_counts.end());
+  OutcomeCellCounts neighbor_cells(neighbor_counts.begin(),
+                                   neighbor_counts.end());
+  return ToPathEstimate(
+      path_name, trials,
+      EstimateEpsilonFromOutcomeCells(base_cells, neighbor_cells, trials,
+                                      confidence, bonferroni_override,
+                                      /*include_complements=*/false));
 }
 
 ServiceAuditor::ServiceAuditor(UtilityFactory utility_factory,
@@ -372,16 +437,9 @@ ServiceAuditor::ServiceAuditor(UtilityFactory utility_factory,
       options_(std::move(options)) {
   PRIVREC_CHECK(utility_factory_ != nullptr);
   PRIVREC_CHECK_GT(options_.release_epsilon, 0.0);
-  // Uniform mode draws trials_per_side per path; a total_trial_budget
-  // supersedes it (the adaptive loop ignores trials_per_side entirely).
-  PRIVREC_CHECK(options_.trials_per_side > 0 ||
-                options_.total_trial_budget > 0);
+  PRIVREC_CHECK_GT(options_.trials_per_side, 0u);
   PRIVREC_CHECK_GT(options_.confidence, 0.0);
   PRIVREC_CHECK(options_.confidence < 1.0);
-  if (options_.paths.empty()) {
-    options_.paths.assign(std::begin(kAllServeAuditPaths),
-                          std::end(kAllServeAuditPaths));
-  }
 }
 
 Result<DpAuditResult> ServiceAuditor::AuditPair(const NeighboringPair& pair,
@@ -391,66 +449,36 @@ Result<DpAuditResult> ServiceAuditor::AuditPair(const NeighboringPair& pair,
 
 Result<DpAuditResult> ServiceAuditor::AuditPairAtConfidence(
     const NeighboringPair& pair, NodeId target, double confidence) const {
-  if (pair.base.num_nodes() != pair.neighbor.num_nodes() ||
-      pair.base.directed() != pair.neighbor.directed()) {
-    return Status::InvalidArgument(
-        "pair sides disagree on node count or direction");
-  }
-  if (target >= pair.base.num_nodes()) {
-    return Status::InvalidArgument("target out of range");
-  }
-
   DpAuditResult result;
   result.pairs_checked = 1;
   result.worst_edge_u = pair.u;
   result.worst_edge_v = pair.v;
-
-  std::vector<std::unique_ptr<PathTrialDriver>> drivers;
-  drivers.reserve(options_.paths.size());
-  for (ServeAuditPath path : options_.paths) {
-    drivers.push_back(std::make_unique<PathTrialDriver>(
-        utility_factory_, options_, pair, target, path));
-    PRIVREC_RETURN_NOT_OK(drivers.back()->Init());
-  }
-
-  if (options_.total_trial_budget == 0) {
-    // Uniform allocation: every path gets trials_per_side, matching the
-    // pre-adaptive audit transcript exactly.
-    for (auto& driver : drivers) {
-      PRIVREC_RETURN_NOT_OK(driver->RunTrials(options_.trials_per_side));
+  for (ServeAuditPath path : kAllServeAuditPaths) {
+    // Each path owns fresh graphs: the post-mutation path mutates them,
+    // and cross-path state bleed would make the audit depend on path order.
+    const size_t num_shards =
+        path == ServeAuditPath::kMultiShard ? kMultiShardCount : 1;
+    PRIVREC_ASSIGN_OR_RETURN(
+        std::unique_ptr<MirroredPair> sides,
+        MirroredPair::Create(utility_factory_, options_, pair, target,
+                             static_cast<uint64_t>(path),
+                             MakeAuditServiceOptions(options_, num_shards),
+                             /*journal_capacity=*/0));
+    if (path == ServeAuditPath::kPostMutation) {
+      PRIVREC_RETURN_NOT_OK(sides->ChooseToggle("post-mutation toggle"));
     }
-  } else {
-    // Adaptive allocation: spend the fixed total budget round by round,
-    // steering each round's slice toward the paths whose certification
-    // gap (ε̂ − certified bound) is widest. The gap IS the interval
-    // width the CP box leaves unresolved, so trials land where they
-    // shrink uncertainty fastest; round 1 has no estimates yet and
-    // splits uniformly. Total spend is exactly the budget (apportionment
-    // is exact), and determinism holds because each driver's streams
-    // persist across rounds.
-    const uint64_t budget = options_.total_trial_budget;
-    const uint64_t rounds = std::max<uint64_t>(1, options_.adaptive_rounds);
-    for (uint64_t round = 0; round < rounds; ++round) {
-      const uint64_t slice =
-          budget / rounds + (round < budget % rounds ? 1 : 0);
-      if (slice == 0) continue;
-      std::vector<double> widths(drivers.size(), 1.0);
-      if (round > 0) {
-        for (size_t i = 0; i < drivers.size(); ++i) {
-          const PathEpsilonEstimate estimate =
-              drivers[i]->Estimate(confidence);
-          widths[i] = estimate.epsilon_hat - estimate.epsilon_lower_bound;
-        }
-      }
-      const std::vector<uint64_t> alloc = Apportion(slice, widths);
-      for (size_t i = 0; i < drivers.size(); ++i) {
-        if (alloc[i] > 0) PRIVREC_RETURN_NOT_OK(drivers[i]->RunTrials(alloc[i]));
-      }
+    if (path != ServeAuditPath::kCold) {
+      sides->BuildServices();
+      PRIVREC_RETURN_NOT_OK(sides->Warmup());
     }
-  }
-
-  for (auto& driver : drivers) {
-    PathEpsilonEstimate estimate = driver->Estimate(confidence);
+    if (path == ServeAuditPath::kPostMutation) {
+      PRIVREC_RETURN_NOT_OK(sides->ToggleCommonSlot());
+    }
+    for (uint64_t t = 0; t < options_.trials_per_side; ++t) {
+      PRIVREC_RETURN_NOT_OK(sides->RecordTrial(/*key=*/0));
+    }
+    PathEpsilonEstimate estimate =
+        sides->Estimate(ServeAuditPathName(path), confidence);
     result.max_abs_log_ratio =
         std::max(result.max_abs_log_ratio, estimate.epsilon_hat);
     result.per_path.push_back(std::move(estimate));
@@ -461,50 +489,26 @@ Result<DpAuditResult> ServiceAuditor::AuditPairAtConfidence(
 Result<DpAuditResult> ServiceAuditor::AuditPairUnderMutation(
     const NeighboringPair& pair, NodeId target,
     const MutationAuditOptions& mutation, ServiceStats* stats_out) const {
-  if (pair.base.num_nodes() != pair.neighbor.num_nodes() ||
-      pair.base.directed() != pair.neighbor.directed()) {
-    return Status::InvalidArgument(
-        "pair sides disagree on node count or direction");
-  }
-  if (target >= pair.base.num_nodes()) {
-    return Status::InvalidArgument("target out of range");
-  }
+  // Two shards: the audited target and the churn users stripe across
+  // shards, so repair, snapshot re-pinning, and sensitivity memos all run
+  // under real shard concurrency — while keeping per-shard state small
+  // enough that every mutation round actually touches it.
+  PRIVREC_ASSIGN_OR_RETURN(
+      std::unique_ptr<MirroredPair> sides,
+      MirroredPair::Create(utility_factory_, options_, pair, target,
+                           kMutationPathId,
+                           MakeAuditServiceOptions(options_, 2),
+                           mutation.journal_capacity));
   const uint64_t rounds = std::max<uint64_t>(1, mutation.rounds);
   const uint64_t trials_per_round = options_.trials_per_side / rounds;
   if (trials_per_round == 0) {
     return Status::InvalidArgument(
         "trials_per_side must cover at least one trial per round");
   }
-
-  DynamicGraph graphs[2] = {DynamicGraph(pair.base),
-                            DynamicGraph(pair.neighbor)};
-  if (mutation.journal_capacity > 0) {
-    graphs[0].SetJournalCapacity(mutation.journal_capacity);
-    graphs[1].SetJournalCapacity(mutation.journal_capacity);
-  }
-  // Two shards: the audited target and the churn users stripe across
-  // shards, so repair, snapshot re-pinning, and sensitivity memos all run
-  // under real shard concurrency — while keeping per-shard state small
-  // enough that every mutation round actually touches it.
-  const ServiceOptions service_options = MakeAuditServiceOptions(options_, 2);
-  RecommendationService base_service(&graphs[0], utility_factory_(),
-                                     service_options);
-  RecommendationService neighbor_service(&graphs[1], utility_factory_(),
-                                         service_options);
-  RecommendationService* services[2] = {&base_service, &neighbor_service};
-  Rng rngs[2] = {Rng(DeriveSeed(options_.seed, kMutationPathId, 0)),
-                 Rng(DeriveSeed(options_.seed, kMutationPathId, 1))};
-  // Warm both sides so round 1's trials already sit on the cached-entry
-  // path that each round's mutations will then have to repair.
-  for (int side = 0; side < 2; ++side) {
-    const Status warm =
-        options_.shape == ServeAuditShape::kSingle
-            ? services[side]->ServeForAudit(target, rngs[side]).status()
-            : services[side]
-                  ->ServeListForAudit(target, options_.list_k, rngs[side])
-                  .status();
-    PRIVREC_RETURN_NOT_OK(warm);
-  }
+  sides->BuildServices();
+  // Round 1's trials already sit on the cached-entry path that each
+  // round's mutations will then have to repair.
+  PRIVREC_RETURN_NOT_OK(sides->Warmup());
 
   MirroredMutatorOptions mutator_options;
   mutator_options.num_threads = mutation.mutator_threads;
@@ -512,244 +516,51 @@ Result<DpAuditResult> ServiceAuditor::AuditPairUnderMutation(
   mutator_options.churn_serves_per_thread =
       mutation.churn_serves_per_thread_per_round;
   mutator_options.seed = DeriveSeed(options_.seed, kMutationPathId, 2);
-  MirroredMutator mutator(&base_service, &neighbor_service, pair.base, target,
+  MirroredMutator mutator(sides->side(0).service.get(),
+                          sides->side(1).service.get(), pair.base, target,
                           pair.u, pair.v, mutator_options);
-
-  // Outcome cells are keyed by (round, outcome), not outcome alone. The
-  // round index is public (the auditor controls the schedule), and within
-  // a round the two sides sit in identical-except-toggle states, so every
-  // (round, outcome) cell's probability ratio is e^ε-bounded for an
-  // honest service. Pooling rounds instead would average the per-state
-  // ratios — a mis-calibrated service whose leak peaks in some graph
-  // states would hide behind the states where it happens not to leak.
-  OutcomeCellCounts round_cells[2];
-  std::vector<ListOutcomeReduction> round_reductions[2];
   for (uint64_t round = 0; round < rounds; ++round) {
     // Concurrent phase: identical toggle streams + churn on both sides.
     // RunPhase joins its workers, so the measurement slice below runs
     // against a settled, deterministic graph state.
     mutator.RunPhase();
-    for (int side = 0; side < 2; ++side) {
-      if (options_.shape == ServeAuditShape::kList) {
-        round_reductions[side].emplace_back();
-      }
-      for (uint64_t t = 0; t < trials_per_round; ++t) {
-        if (options_.shape == ServeAuditShape::kSingle) {
-          PRIVREC_ASSIGN_OR_RETURN(
-              NodeId outcome,
-              services[side]->ServeForAudit(target, rngs[side]));
-          ++round_cells[side][((round + 1) << 32) |
-                              static_cast<uint64_t>(outcome)];
-        } else {
-          std::map<NodeId, uint64_t> unused;
-          PRIVREC_RETURN_NOT_OK(RecordShapeTrial(
-              *services[side], target, options_.shape, options_.list_k,
-              rngs[side], unused, round_reductions[side].back()));
-        }
-      }
+    for (uint64_t t = 0; t < trials_per_round; ++t) {
+      PRIVREC_RETURN_NOT_OK(sides->RecordTrial(/*key=*/round));
     }
   }
-
-  DpAuditResult result;
-  result.pairs_checked = 1;
-  result.worst_edge_u = pair.u;
-  result.worst_edge_v = pair.v;
-  PathEpsilonEstimate estimate;
-  estimate.path = "under_mutation";
-  estimate.trials_per_side = trials_per_round * rounds;
-  if (options_.shape == ServeAuditShape::kSingle) {
-    const EpsilonCellEstimate cells = EstimateEpsilonFromOutcomeCells(
-        round_cells[0], round_cells[1], trials_per_round * rounds,
-        options_.confidence, options_.bonferroni_cells_override,
-        /*include_complements=*/false);
-    estimate.epsilon_hat = cells.epsilon_hat;
-    estimate.epsilon_lower_bound = cells.epsilon_lower_bound;
-    estimate.worst_outcome = static_cast<NodeId>(cells.worst_cell);
-    estimate.worst_z = cells.worst_z;
-    estimate.bonferroni_cells = cells.bonferroni_cells;
-  } else {
-    // Per-round list reductions share one Bonferroni budget: first total
-    // the cells every round contributes, then re-estimate each round at
-    // that shared correction and keep the worst.
-    size_t total_cells = options_.bonferroni_cells_override;
-    if (total_cells == 0) {
-      for (uint64_t round = 0; round < rounds; ++round) {
-        total_cells += EstimateEpsilonFromListReductions(
-                           round_reductions[0][round],
-                           round_reductions[1][round], options_.confidence)
-                           .bonferroni_cells;
-      }
-    }
-    for (uint64_t round = 0; round < rounds; ++round) {
-      const EpsilonCellEstimate cells = EstimateEpsilonFromListReductions(
-          round_reductions[0][round], round_reductions[1][round],
-          options_.confidence, total_cells);
-      if (cells.epsilon_hat > estimate.epsilon_hat) {
-        estimate.epsilon_hat = cells.epsilon_hat;
-        estimate.worst_outcome = static_cast<NodeId>(cells.worst_cell);
-      }
-      estimate.epsilon_lower_bound =
-          std::max(estimate.epsilon_lower_bound, cells.epsilon_lower_bound);
-      estimate.worst_z = std::max(estimate.worst_z, cells.worst_z);
-    }
-    estimate.bonferroni_cells = total_cells;
-  }
-  result.max_abs_log_ratio = estimate.epsilon_hat;
-  result.per_path.push_back(std::move(estimate));
-  if (stats_out != nullptr) {
-    *stats_out = SumStats(base_service.stats(), neighbor_service.stats());
-  }
-  return result;
+  if (stats_out != nullptr) *stats_out = sides->Stats();
+  return sides->ScheduleResult("under_mutation");
 }
 
 Result<DpAuditResult> ServiceAuditor::AuditPairUnderFaults(
     const NeighboringPair& pair, NodeId target,
     const FaultAuditOptions& faults, ServiceStats* stats_out) const {
-  if (pair.base.num_nodes() != pair.neighbor.num_nodes() ||
-      pair.base.directed() != pair.neighbor.directed()) {
-    return Status::InvalidArgument(
-        "pair sides disagree on node count or direction");
-  }
-  if (target >= pair.base.num_nodes()) {
-    return Status::InvalidArgument("target out of range");
+  ServiceOptions service_options = MakeAuditServiceOptions(options_, 2);
+  service_options.retry = faults.retry;
+  PRIVREC_ASSIGN_OR_RETURN(
+      std::unique_ptr<MirroredPair> sides,
+      MirroredPair::Create(utility_factory_, options_, pair, target,
+                           kFaultPathId, std::move(service_options),
+                           faults.journal_capacity));
+  sides->BuildServices();
+  // Warm BEFORE arming the plan: the measured trials then sit on the
+  // cached-entry path, which is the path the injected faults (repair
+  // failure, journal compaction, patch failures) actually bend.
+  PRIVREC_RETURN_NOT_OK(sides->Warmup());
+  sides->InstallPlan(faults.plan);
+  if (faults.mutations_between_trials > 0) {
+    PRIVREC_RETURN_NOT_OK(sides->ChooseToggle("under-faults toggles"));
   }
   const uint64_t trials = std::max<uint64_t>(1, options_.trials_per_side);
-
-  DynamicGraph graphs[2] = {DynamicGraph(pair.base),
-                            DynamicGraph(pair.neighbor)};
-  if (faults.journal_capacity > 0) {
-    graphs[0].SetJournalCapacity(faults.journal_capacity);
-    graphs[1].SetJournalCapacity(faults.journal_capacity);
-  }
-  // One injector per side: identical plans driven by the mirrored call
-  // sequence below fire identically, so the two sides stay in lockstep
-  // fault states (equal fire counts are asserted at the end).
-  FaultInjector injectors[2];
-  std::unique_ptr<RecommendationService> services[2];
-  Rng rngs[2] = {Rng(DeriveSeed(options_.seed, kFaultPathId, 0)),
-                 Rng(DeriveSeed(options_.seed, kFaultPathId, 1))};
-  for (int side = 0; side < 2; ++side) {
-    ServiceOptions service_options = MakeAuditServiceOptions(options_, 2);
-    service_options.fault_injector = &injectors[side];
-    service_options.retry = faults.retry;
-    services[side] = std::make_unique<RecommendationService>(
-        &graphs[side], utility_factory_(), service_options);
-  }
-  // Warm both sides BEFORE arming the plan: the measured trials then sit
-  // on the cached-entry path, which is the path the injected faults
-  // (repair failure, journal compaction, patch failures) actually bend.
-  for (int side = 0; side < 2; ++side) {
-    const Status warm =
-        options_.shape == ServeAuditShape::kSingle
-            ? services[side]->ServeForAudit(target, rngs[side]).status()
-            : services[side]
-                  ->ServeListForAudit(target, options_.list_k, rngs[side])
-                  .status();
-    PRIVREC_RETURN_NOT_OK(warm);
-  }
-  injectors[0].Install(faults.plan);
-  injectors[1].Install(faults.plan);
-
-  std::optional<CommonToggle> toggle;
-  if (faults.mutations_between_trials > 0) {
-    toggle = ChooseCommonToggle(pair, target);
-    if (!toggle.has_value()) {
-      return Status::FailedPrecondition(
-          "no common edge slot available for the under-faults toggles");
-    }
-  }
-  bool present = toggle.has_value() && toggle->present;
-
-  // Outcome cells are keyed by (parity, outcome): the common slot cycles
-  // the graph state with period 2, the parity schedule is public, and at
-  // equal parity the two sides are neighbors — so each cell of an honest
-  // service is e^ε-bounded, exactly the under-mutation argument with the
-  // round index collapsed to the toggle parity.
-  OutcomeCellCounts parity_cells[2];
-  ListOutcomeReduction parity_reductions[2][2];  // [side][parity]
-  uint64_t parity_trials[2] = {0, 0};
   for (uint64_t t = 0; t < trials; ++t) {
     for (uint64_t m = 0; m < faults.mutations_between_trials; ++m) {
-      for (int side = 0; side < 2; ++side) {
-        const Status mutated =
-            present ? services[side]->RemoveEdge(toggle->a, toggle->b)
-                    : services[side]->AddEdge(toggle->a, toggle->b);
-        PRIVREC_RETURN_NOT_OK(mutated);
-      }
-      present = !present;
+      PRIVREC_RETURN_NOT_OK(sides->ToggleCommonSlot());
     }
-    const uint64_t parity =
-        (toggle.has_value() && present != toggle->present) ? 1 : 0;
-    ++parity_trials[parity];
-    for (int side = 0; side < 2; ++side) {
-      if (options_.shape == ServeAuditShape::kSingle) {
-        PRIVREC_ASSIGN_OR_RETURN(
-            NodeId outcome, services[side]->ServeForAudit(target, rngs[side]));
-        ++parity_cells[side][((parity + 1) << 32) |
-                             static_cast<uint64_t>(outcome)];
-      } else {
-        std::map<NodeId, uint64_t> unused;
-        PRIVREC_RETURN_NOT_OK(RecordShapeTrial(
-            *services[side], target, options_.shape, options_.list_k,
-            rngs[side], unused, parity_reductions[side][parity]));
-      }
-    }
+    PRIVREC_RETURN_NOT_OK(sides->RecordTrial(sides->parity()));
   }
-  // The determinism contract made observable: mirrored plans + mirrored
-  // drive sequences must have produced identical fire counts.
-  PRIVREC_CHECK_EQ(injectors[0].total_fires(), injectors[1].total_fires());
-
-  DpAuditResult result;
-  result.pairs_checked = 1;
-  result.worst_edge_u = pair.u;
-  result.worst_edge_v = pair.v;
-  PathEpsilonEstimate estimate;
-  estimate.path = "under_faults";
-  estimate.trials_per_side = trials;
-  if (options_.shape == ServeAuditShape::kSingle) {
-    const EpsilonCellEstimate cells = EstimateEpsilonFromOutcomeCells(
-        parity_cells[0], parity_cells[1], trials, options_.confidence,
-        options_.bonferroni_cells_override,
-        /*include_complements=*/false);
-    estimate.epsilon_hat = cells.epsilon_hat;
-    estimate.epsilon_lower_bound = cells.epsilon_lower_bound;
-    estimate.worst_outcome = static_cast<NodeId>(cells.worst_cell);
-    estimate.worst_z = cells.worst_z;
-    estimate.bonferroni_cells = cells.bonferroni_cells;
-  } else {
-    // Per-parity list reductions share one Bonferroni budget, mirroring
-    // the under-mutation per-round merge.
-    size_t total_cells = options_.bonferroni_cells_override;
-    if (total_cells == 0) {
-      for (int parity = 0; parity < 2; ++parity) {
-        if (parity_trials[parity] == 0) continue;
-        total_cells += EstimateEpsilonFromListReductions(
-                           parity_reductions[0][parity],
-                           parity_reductions[1][parity], options_.confidence)
-                           .bonferroni_cells;
-      }
-    }
-    for (int parity = 0; parity < 2; ++parity) {
-      if (parity_trials[parity] == 0) continue;
-      const EpsilonCellEstimate cells = EstimateEpsilonFromListReductions(
-          parity_reductions[0][parity], parity_reductions[1][parity],
-          options_.confidence, total_cells);
-      if (cells.epsilon_hat > estimate.epsilon_hat) {
-        estimate.epsilon_hat = cells.epsilon_hat;
-        estimate.worst_outcome = static_cast<NodeId>(cells.worst_cell);
-      }
-      estimate.epsilon_lower_bound =
-          std::max(estimate.epsilon_lower_bound, cells.epsilon_lower_bound);
-      estimate.worst_z = std::max(estimate.worst_z, cells.worst_z);
-    }
-    estimate.bonferroni_cells = total_cells;
-  }
-  result.max_abs_log_ratio = estimate.epsilon_hat;
-  result.per_path.push_back(std::move(estimate));
-  if (stats_out != nullptr) {
-    *stats_out = SumStats(services[0]->stats(), services[1]->stats());
-  }
-  return result;
+  sides->CheckFiresMirrored();
+  if (stats_out != nullptr) *stats_out = sides->Stats();
+  return sides->ScheduleResult("under_faults");
 }
 
 Result<DpAuditResult> ServiceAuditor::AuditAcrossRecovery(
@@ -763,14 +574,19 @@ Result<DpAuditResult> ServiceAuditor::AuditAcrossRecovery(
     return Status::InvalidArgument(
         "RecoveryAuditOptions::state_dir is required");
   }
-  if (pair.base.num_nodes() != pair.neighbor.num_nodes() ||
-      pair.base.directed() != pair.neighbor.directed()) {
-    return Status::InvalidArgument(
-        "pair sides disagree on node count or direction");
-  }
-  if (target >= pair.base.num_nodes()) {
-    return Status::InvalidArgument("target out of range");
-  }
+  // Headroom for the charged pre-crash traffic: the audit serves
+  // themselves stay budget-neutral, but the charged serves must fit.
+  const double per_user_budget =
+      options_.release_epsilon *
+      static_cast<double>(recovery.charged_serves_per_side + 1);
+  ServiceOptions service_options = MakeAuditServiceOptions(options_, 2);
+  service_options.per_user_budget = per_user_budget;
+  service_options.retry = recovery.retry;
+  PRIVREC_ASSIGN_OR_RETURN(
+      std::unique_ptr<MirroredPair> sides,
+      MirroredPair::Create(utility_factory_, options_, pair, target,
+                           kRecoveryPathId, std::move(service_options),
+                           recovery.journal_capacity));
   // At least one trial on each side of the crash boundary — the boundary
   // IS the path under audit.
   const uint64_t trials = std::max<uint64_t>(2, options_.trials_per_side);
@@ -778,133 +594,78 @@ Result<DpAuditResult> ServiceAuditor::AuditAcrossRecovery(
 
   // Per-side durable state, wiped on entry so a fixed seed reproduces the
   // audit byte for byte.
-  std::string side_dirs[2];
-  for (int side = 0; side < 2; ++side) {
-    side_dirs[side] = recovery.state_dir + "/side" + std::to_string(side);
+  auto wal_dir = [](const MirroredPair::Side& side) {
+    return side.state_dir + "/wal";
+  };
+  auto ledger_dir = [](const MirroredPair::Side& side) {
+    return side.state_dir + "/ledger";
+  };
+  auto ckpt_dir = [](const MirroredPair::Side& side) {
+    return side.state_dir + "/ckpt";
+  };
+  for (int s = 0; s < 2; ++s) {
+    MirroredPair::Side& side = sides->side(s);
+    side.state_dir = recovery.state_dir + "/side" + std::to_string(s);
     std::error_code ec;
-    std::filesystem::remove_all(side_dirs[side], ec);
-    std::filesystem::create_directories(side_dirs[side], ec);
+    std::filesystem::remove_all(side.state_dir, ec);
+    std::filesystem::create_directories(side.state_dir, ec);
     if (ec) {
       return Status::IOError("cannot create audit state dir '" +
-                             side_dirs[side] + "'");
-    }
-  }
-  auto wal_dir = [&](int side) { return side_dirs[side] + "/wal"; };
-  auto ledger_dir = [&](int side) { return side_dirs[side] + "/ledger"; };
-  auto ckpt_dir = [&](int side) { return side_dirs[side] + "/ckpt"; };
-
-  // Headroom for the charged pre-crash traffic: the audit serves
-  // themselves stay budget-neutral, but the charged serves must fit.
-  const double per_user_budget =
-      options_.release_epsilon *
-      static_cast<double>(recovery.charged_serves_per_side + 1);
-
-  FaultInjector injectors[2];
-  std::unique_ptr<WriteAheadLog> wals[2];
-  std::unique_ptr<BudgetLedger> ledgers[2];
-  std::unique_ptr<DynamicGraph> graphs[2];
-  std::unique_ptr<RecommendationService> services[2];
-  Rng rngs[2] = {Rng(DeriveSeed(options_.seed, kRecoveryPathId, 0)),
-                 Rng(DeriveSeed(options_.seed, kRecoveryPathId, 1))};
-
-  auto build_service = [&](int side) -> Status {
-    ServiceOptions service_options = MakeAuditServiceOptions(options_, 2);
-    service_options.per_user_budget = per_user_budget;
-    service_options.fault_injector = &injectors[side];
-    service_options.retry = recovery.retry;
-    service_options.wal = wals[side].get();
-    service_options.budget_ledger = ledgers[side].get();
-    services[side] = std::make_unique<RecommendationService>(
-        graphs[side].get(), utility_factory_(), service_options);
-    return Status::OK();
-  };
-  for (int side = 0; side < 2; ++side) {
-    graphs[side] = std::make_unique<DynamicGraph>(side == 0 ? pair.base
-                                                            : pair.neighbor);
-    if (recovery.journal_capacity > 0) {
-      graphs[side]->SetJournalCapacity(recovery.journal_capacity);
+                             side.state_dir + "'");
     }
     WalOptions wal_options;
-    wal_options.fault_injector = &injectors[side];
-    PRIVREC_ASSIGN_OR_RETURN(wals[side],
+    wal_options.fault_injector = &side.injector;
+    PRIVREC_ASSIGN_OR_RETURN(side.wal,
                              WriteAheadLog::Open(wal_dir(side), wal_options));
     LedgerOptions ledger_options;
-    ledger_options.fault_injector = &injectors[side];
+    ledger_options.fault_injector = &side.injector;
     PRIVREC_ASSIGN_OR_RETURN(
-        ledgers[side], BudgetLedger::Open(ledger_dir(side), ledger_options));
-    PRIVREC_RETURN_NOT_OK(build_service(side));
-    // Initial checkpoint BEFORE the plan is armed: recovery always has an
-    // authoritative manifest to start from, whatever the plan breaks.
-    PRIVREC_RETURN_NOT_OK(services[side]->SaveCheckpoint(ckpt_dir(side)));
-    // Warm before arming, mirroring AuditPairUnderFaults: measured trials
-    // sit on the cached-entry path.
-    PRIVREC_RETURN_NOT_OK(
-        services[side]->ServeForAudit(target, rngs[side]).status());
+        side.ledger, BudgetLedger::Open(ledger_dir(side), ledger_options));
   }
-  injectors[0].Install(recovery.plan);
-  injectors[1].Install(recovery.plan);
+  sides->BuildServices();
+  // Initial checkpoint BEFORE the plan is armed: recovery always has an
+  // authoritative manifest to start from, whatever the plan breaks.
+  for (int s = 0; s < 2; ++s) {
+    MirroredPair::Side& side = sides->side(s);
+    PRIVREC_RETURN_NOT_OK(side.service->SaveCheckpoint(ckpt_dir(side)));
+  }
+  PRIVREC_RETURN_NOT_OK(sides->Warmup());
+  sides->InstallPlan(recovery.plan);
 
   // Charged pre-crash traffic: the serves the durable ledger must
-  // survive. Mirrored; only identical ok-ness is required (a refusal is
-  // budget-neutral on both sides).
+  // survive. A shared refusal is budget-neutral on both sides.
+  Status refused;
   for (uint64_t i = 0; i < recovery.charged_serves_per_side; ++i) {
-    const Status s0 =
-        services[0]->ServeRecommendation(target, rngs[0]).status();
-    const Status s1 =
-        services[1]->ServeRecommendation(target, rngs[1]).status();
-    if (s0.ok() != s1.ok()) {
-      return Status::Internal("mirrored charged serves diverged: '" +
-                              s0.message() + "' vs '" + s1.message() + "'");
-    }
+    PRIVREC_RETURN_NOT_OK(sides->Mirrored(
+        "charged serves",
+        [&](MirroredPair::Side& side) {
+          return side.service->ServeRecommendation(target, side.rng).status();
+        },
+        &refused));
   }
-  const double pre_crash_charged[2] = {
-      per_user_budget - services[0]->RemainingBudget(target),
-      per_user_budget - services[1]->RemainingBudget(target)};
+  double pre_crash_charged[2];
+  for (int s = 0; s < 2; ++s) {
+    pre_crash_charged[s] =
+        per_user_budget - sides->side(s).service->RemainingBudget(target);
+  }
 
-  std::optional<CommonToggle> toggle;
   if (recovery.mutations_between_trials > 0) {
-    toggle = ChooseCommonToggle(pair, target);
-    if (!toggle.has_value()) {
-      return Status::FailedPrecondition(
-          "no common edge slot available for the across-recovery toggles");
-    }
+    PRIVREC_RETURN_NOT_OK(sides->ChooseToggle("across-recovery toggles"));
   }
-  bool present = toggle.has_value() && toggle->present;
   // A torn WAL rejects mutations from then on; the schedule freezes
   // SYMMETRICALLY (equal plans fire equally), keeping the parity cells
-  // sound. Divergent ok-ness is the one impossible state worth failing on.
-  bool mutations_alive = toggle.has_value();
-  OutcomeCellCounts parity_cells[2];
+  // sound.
+  bool mutations_alive = sides->toggle().has_value();
   auto run_trials = [&](uint64_t count) -> Status {
     for (uint64_t t = 0; t < count; ++t) {
-      if (mutations_alive) {
-        for (uint64_t m = 0; m < recovery.mutations_between_trials; ++m) {
-          const Status m0 = present
-                                ? services[0]->RemoveEdge(toggle->a, toggle->b)
-                                : services[0]->AddEdge(toggle->a, toggle->b);
-          const Status m1 = present
-                                ? services[1]->RemoveEdge(toggle->a, toggle->b)
-                                : services[1]->AddEdge(toggle->a, toggle->b);
-          if (m0.ok() != m1.ok()) {
-            return Status::Internal("mirrored toggles diverged: '" +
-                                    m0.message() + "' vs '" + m1.message() +
-                                    "'");
-          }
-          if (!m0.ok()) {
-            mutations_alive = false;
-            break;
-          }
-          present = !present;
-        }
+      for (uint64_t m = 0; mutations_alive &&
+                           m < recovery.mutations_between_trials;
+           ++m) {
+        Status rejected;
+        PRIVREC_RETURN_NOT_OK(sides->ToggleCommonSlot(&rejected));
+        mutations_alive = rejected.ok();
       }
-      const uint64_t parity =
-          (toggle.has_value() && present != toggle->present) ? 1 : 0;
-      for (int side = 0; side < 2; ++side) {
-        PRIVREC_ASSIGN_OR_RETURN(
-            NodeId outcome, services[side]->ServeForAudit(target, rngs[side]));
-        ++parity_cells[side][((parity + 1) << 32) |
-                             static_cast<uint64_t>(outcome)];
-      }
+      PRIVREC_RETURN_NOT_OK(sides->RecordTrial(sides->parity()));
     }
     return Status::OK();
   };
@@ -913,80 +674,76 @@ Result<DpAuditResult> ServiceAuditor::AuditAcrossRecovery(
   // Mid-audit checkpoint attempt, faults still armed: under
   // kCheckpointCrash this dies before the manifest commit (on both sides
   // identically) and the initial checkpoint stays authoritative.
-  {
-    const Status c0 = services[0]->SaveCheckpoint(ckpt_dir(0));
-    const Status c1 = services[1]->SaveCheckpoint(ckpt_dir(1));
-    if (c0.ok() != c1.ok()) {
-      return Status::Internal("mirrored checkpoints diverged: '" +
-                              c0.message() + "' vs '" + c1.message() + "'");
-    }
-  }
+  Status checkpoint_failed;
+  PRIVREC_RETURN_NOT_OK(sides->Mirrored(
+      "checkpoints",
+      [&](MirroredPair::Side& side) {
+        return side.service->SaveCheckpoint(ckpt_dir(side));
+      },
+      &checkpoint_failed));
 
   // ---- The crash. ----
-  PRIVREC_CHECK_EQ(injectors[0].total_fires(), injectors[1].total_fires());
-  const ServiceStats pre_crash_stats =
-      SumStats(services[0]->stats(), services[1]->stats());
-  for (int side = 0; side < 2; ++side) {
-    wals[side]->SimulateCrash();
-    ledgers[side]->SimulateCrash();
+  sides->CheckFiresMirrored();
+  const ServiceStats pre_crash_stats = sides->Stats();
+  for (int s = 0; s < 2; ++s) {
+    MirroredPair::Side& side = sides->side(s);
+    side.wal->SimulateCrash();
+    side.ledger->SimulateCrash();
+    side.service.reset();
+    side.graph.reset();
+    side.wal.reset();
+    side.ledger.reset();
+    // Post-recovery runs clean; the fire counts are already folded into
+    // pre_crash_stats.
+    side.injector.Clear();
   }
-  // Teardown order mirrors ownership: services reference graphs, graphs
-  // reference WALs.
-  for (int side = 0; side < 2; ++side) services[side].reset();
-  for (int side = 0; side < 2; ++side) graphs[side].reset();
-  for (int side = 0; side < 2; ++side) {
-    wals[side].reset();
-    ledgers[side].reset();
-  }
-  // Post-recovery runs clean; the fire counts above are already folded
-  // into pre_crash_stats.
-  injectors[0].Clear();
-  injectors[1].Clear();
 
   // ---- Recovery. ----
-  for (int side = 0; side < 2; ++side) {
-    PRIVREC_ASSIGN_OR_RETURN(wals[side], WriteAheadLog::Open(wal_dir(side)));
+  std::unordered_map<NodeId, double> recovered_spend[2];
+  for (int s = 0; s < 2; ++s) {
+    MirroredPair::Side& side = sides->side(s);
+    PRIVREC_ASSIGN_OR_RETURN(side.wal, WriteAheadLog::Open(wal_dir(side)));
     RecoveryReport report;
-    PRIVREC_ASSIGN_OR_RETURN(
-        graphs[side], RecoverGraph(ckpt_dir(side), *wals[side], &report));
+    PRIVREC_ASSIGN_OR_RETURN(side.graph,
+                             RecoverGraph(ckpt_dir(side), *side.wal, &report));
     if (recovery.journal_capacity > 0) {
-      graphs[side]->SetJournalCapacity(recovery.journal_capacity);
+      side.graph->SetJournalCapacity(recovery.journal_capacity);
     }
-    PRIVREC_ASSIGN_OR_RETURN(ledgers[side],
-                             BudgetLedger::Open(ledger_dir(side)));
-    const std::unordered_map<NodeId, double> recovered_spend =
-        ledgers[side]->SpentByUser();
-    auto it = recovered_spend.find(target);
-    const double recovered = it == recovered_spend.end() ? 0.0 : it->second;
-    if (recovered + 1e-9 < pre_crash_charged[side]) {
+    PRIVREC_ASSIGN_OR_RETURN(side.ledger, BudgetLedger::Open(ledger_dir(side)));
+    recovered_spend[s] = side.ledger->SpentByUser();
+    auto it = recovered_spend[s].find(target);
+    const double recovered = it == recovered_spend[s].end() ? 0.0 : it->second;
+    if (recovered + 1e-9 < pre_crash_charged[s]) {
       // The one unrecoverable state: durable spend below what was charged
       // in memory means a charge was lost (torn ledger append). Refusing
       // is the only sound posture — certifying would launder the loss.
       return Status::FailedPrecondition(
-          "budget ledger unrecoverable on side " + std::to_string(side) +
+          "budget ledger unrecoverable on side " + std::to_string(s) +
           ": recovered spend " + std::to_string(recovered) +
-          " < pre-crash charged " +
-          std::to_string(pre_crash_charged[side]) +
+          " < pre-crash charged " + std::to_string(pre_crash_charged[s]) +
           " — refusing to certify across this recovery");
     }
-    PRIVREC_RETURN_NOT_OK(build_service(side));
-    services[side]->ImportSpentBudgets(recovered_spend);
-    PRIVREC_RETURN_NOT_OK(
-        services[side]->ServeForAudit(target, rngs[side]).status());
   }
+  sides->BuildServices();
+  for (int s = 0; s < 2; ++s) {
+    sides->side(s).service->ImportSpentBudgets(recovered_spend[s]);
+  }
+  PRIVREC_RETURN_NOT_OK(sides->Warmup());
   // Re-derive the parity anchor from the RECOVERED graphs: recovery is
   // exact, so both sides must agree — and agree with the pre-crash
   // schedule.
-  if (toggle.has_value()) {
-    const bool p0 = graphs[0]->VersionedSnapshot().graph->HasEdge(toggle->a,
-                                                                  toggle->b);
-    const bool p1 = graphs[1]->VersionedSnapshot().graph->HasEdge(toggle->a,
-                                                                  toggle->b);
-    if (p0 != p1) {
+  if (const std::optional<CommonToggle>& toggle = sides->toggle()) {
+    bool recovered_present[2];
+    for (int s = 0; s < 2; ++s) {
+      recovered_present[s] =
+          sides->side(s).graph->VersionedSnapshot().graph->HasEdge(toggle->a,
+                                                                   toggle->b);
+    }
+    if (recovered_present[0] != recovered_present[1]) {
       return Status::Internal(
           "recovered sides disagree on the common toggle slot");
     }
-    if (p0 != present) {
+    if (recovered_present[0] != sides->present()) {
       return Status::Internal(
           "recovered graph state disagrees with the pre-crash toggle "
           "schedule");
@@ -994,31 +751,12 @@ Result<DpAuditResult> ServiceAuditor::AuditAcrossRecovery(
     mutations_alive = true;  // fresh WAL: toggles flow again
   }
   PRIVREC_RETURN_NOT_OK(run_trials(trials - phase0_trials));
-  PRIVREC_CHECK_EQ(injectors[0].total_fires(), injectors[1].total_fires());
-
-  DpAuditResult result;
-  result.pairs_checked = 1;
-  result.worst_edge_u = pair.u;
-  result.worst_edge_v = pair.v;
-  PathEpsilonEstimate estimate;
-  estimate.path = "across_recovery";
-  estimate.trials_per_side = trials;
-  const EpsilonCellEstimate cells = EstimateEpsilonFromOutcomeCells(
-      parity_cells[0], parity_cells[1], trials, options_.confidence,
-      options_.bonferroni_cells_override,
-      /*include_complements=*/false);
-  estimate.epsilon_hat = cells.epsilon_hat;
-  estimate.epsilon_lower_bound = cells.epsilon_lower_bound;
-  estimate.worst_outcome = static_cast<NodeId>(cells.worst_cell);
-  estimate.worst_z = cells.worst_z;
-  estimate.bonferroni_cells = cells.bonferroni_cells;
-  result.max_abs_log_ratio = estimate.epsilon_hat;
-  result.per_path.push_back(std::move(estimate));
+  sides->CheckFiresMirrored();
   if (stats_out != nullptr) {
-    *stats_out = SumStats(pre_crash_stats,
-                          SumStats(services[0]->stats(), services[1]->stats()));
+    *stats_out = pre_crash_stats;
+    *stats_out += sides->Stats();
   }
-  return result;
+  return sides->ScheduleResult("across_recovery");
 }
 
 Result<DpAuditResult> ServiceAuditor::AuditEdgeToggles(const CsrGraph& graph,

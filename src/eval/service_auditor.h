@@ -21,35 +21,6 @@ namespace privrec {
 
 struct ServiceStats;  // serve/recommendation_service.h
 
-/// The serving-stack code paths the black-box auditor drives. Each path is
-/// the REAL production path — the auditor never reimplements the release;
-/// it only arranges the service state (cold cache, warm cache, fresh
-/// mutation, shard count) before sampling.
-enum class ServeAuditPath {
-  /// Fresh service per trial: cache miss, snapshot pin, sensitivity
-  /// compute, sampler freeze — the first-request path.
-  kCold = 0,
-  /// One warm-up serve, then every trial hits the cached entry's frozen
-  /// RecommendationSampler — the steady-state O(1) path.
-  kCacheHit = 1,
-  /// Warm the cache, apply one identical graph mutation to BOTH services
-  /// (so the pair stays neighboring), then sample: exercises the
-  /// invalidation sweep, the Δf ratchet, and the sampler re-freeze.
-  kPostMutation = 2,
-  /// Cache-hit sampling on a service with ServiceAuditOptions::
-  /// multi_shard_count shards: exercises shard striping, per-shard
-  /// snapshot pinning, and per-shard sensitivity memos.
-  kMultiShard = 3,
-};
-
-inline constexpr ServeAuditPath kAllServeAuditPaths[] = {
-    ServeAuditPath::kCold, ServeAuditPath::kCacheHit,
-    ServeAuditPath::kPostMutation, ServeAuditPath::kMultiShard};
-
-/// "cold" / "cache_hit" / "post_mutation" / "multi_shard" — the names used
-/// in DpAuditResult::per_path.
-const char* ServeAuditPathName(ServeAuditPath path);
-
 /// The release shape the auditor samples on each path.
 enum class ServeAuditShape {
   /// ServeForAudit: one node id per trial, counted directly per outcome.
@@ -80,7 +51,7 @@ struct ServiceAuditOptions {
   /// ε the audited services are configured to release at (the guarantee
   /// being audited).
   double release_epsilon = 0.5;
-  /// Serve trials per side (base / neighbor) per audited path. The
+  /// Serve trials per side (base / neighbor) per audited path (> 0). The
   /// Clopper–Pearson half-widths shrink like 1/sqrt(trials); ~2500 per
   /// side resolves ratios of e^0.3 at 99% confidence on small fixtures.
   uint64_t trials_per_side = 2500;
@@ -90,28 +61,10 @@ struct ServiceAuditOptions {
   /// Root seed; every (path, side) gets a splittable sub-stream, so a
   /// fixed seed reproduces the audit exactly.
   uint64_t seed = 0x5eed'a0d1'7000ULL;
-  /// Shard count for the multi_shard path (other paths run 1 shard so the
-  /// cold/cache-hit/post-mutation state machines are deterministic).
-  size_t multi_shard_count = 8;
-  /// Which paths to drive. Empty means all four.
-  std::vector<ServeAuditPath> paths;
   /// Release shape sampled on every path (see ServeAuditShape).
   ServeAuditShape shape = ServeAuditShape::kSingle;
   /// List length for ServeAuditShape::kList.
   size_t list_k = 5;
-  /// Adaptive trial allocation: when nonzero, AuditPair ignores
-  /// trials_per_side and instead spends this TOTAL budget (serve trials
-  /// per side, summed across audited paths) over `adaptive_rounds` rounds
-  /// — round 1 splits uniformly, later rounds allocate each round's slice
-  /// proportionally to the paths' current certification gaps
-  /// (ε̂ − certified lower bound), so trials concentrate where the
-  /// Clopper–Pearson intervals are widest. Deterministic: per-path RNG
-  /// streams persist across rounds, so a fixed seed reproduces the audit
-  /// regardless of how the allocation unfolds. 0 = uniform (legacy):
-  /// every path gets trials_per_side.
-  uint64_t total_trial_budget = 0;
-  /// Rounds for the adaptive loop (>= 1; 1 degenerates to uniform).
-  uint64_t adaptive_rounds = 4;
   /// Nonzero overrides the Bonferroni cell count in every per-path
   /// estimate. GATE SELF-TEST ONLY: an override below the true cell count
   /// voids the certification — it exists so ci/sanitize.sh can inject a
@@ -227,11 +180,17 @@ class ServiceAuditor {
 
   ServiceAuditor(UtilityFactory utility_factory, ServiceAuditOptions options);
 
-  /// Audits one neighboring pair end to end. The returned result has one
-  /// per_path entry per audited path, max_abs_log_ratio = the largest
-  /// point estimate across paths, and worst_edge_u/v = the pair's toggled
-  /// edge. Fails if `target` cannot be served on either side (no
-  /// candidates) or the pair's sides disagree on node count/direction.
+  /// Audits one neighboring pair end to end on four static serve paths,
+  /// each on fresh services: "cold" (a fresh service per trial: cache
+  /// miss, snapshot pin, sensitivity compute, sampler freeze), "cache_hit"
+  /// (one warm-up, then every trial hits the frozen cached sampler),
+  /// "post_mutation" (warm-up, then one identical toggle of a common edge
+  /// slot on both sides: invalidation, Δf ratchet, re-freeze) and
+  /// "multi_shard" (cache hits on 8 shards). The returned result has one
+  /// per_path entry per path, max_abs_log_ratio = the largest point
+  /// estimate across paths, and worst_edge_u/v = the pair's toggled edge.
+  /// Fails if `target` cannot be served on either side (no candidates) or
+  /// the pair's sides disagree on node count/direction.
   Result<DpAuditResult> AuditPair(const NeighboringPair& pair,
                                   NodeId target) const;
 

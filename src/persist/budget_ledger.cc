@@ -178,6 +178,7 @@ Status BudgetLedger::OpenLocked() {
 
   const std::string log_path = LogPath(dir_);
   uint64_t last_seq = checkpoint_last_seq;
+  bool start_log = true;
   if (std::filesystem::exists(log_path)) {
     std::ifstream in(log_path, std::ios::binary);
     if (!in.good()) return Status::IOError("cannot open '" + log_path + "'");
@@ -198,7 +199,12 @@ Status BudgetLedger::OpenLocked() {
     if (magic != kLogMagic || version != kLedgerVersion) {
       return Status::IOError("'" + log_path + "' is not a ledger log");
     }
-    if (first_seq != checkpoint_last_seq + 1) {
+    // A log that starts at or below the checkpoint is the one a crash
+    // inside Compact() leaves behind: the checkpoint committed, the log
+    // reset did not. The checkpoint already counts every record up to its
+    // last_seq, so those are skipped below. A log that starts past
+    // last_seq + 1 lost charges in between: refuse it.
+    if (first_seq > checkpoint_last_seq + 1) {
       return Status::IOError(
           "'" + log_path + "' does not continue the checkpoint (log starts " +
           std::to_string(first_seq) + ", checkpoint ends " +
@@ -226,12 +232,19 @@ Status BudgetLedger::OpenLocked() {
         PRIVREC_RETURN_NOT_OK(FsyncPath(log_path, /*directory=*/false));
         break;
       }
-      totals_[user] += eps;
-      last_seq = seq;
+      if (seq > checkpoint_last_seq) {
+        totals_[user] += eps;
+        last_seq = seq;
+      }
       ++expected_seq;
       offset += kRecordBytes;
     }
-  } else {
+    // A stale log with nothing past the checkpoint: finish the interrupted
+    // compaction, so appends continue in a log that follows the checkpoint.
+    start_log =
+        first_seq <= checkpoint_last_seq && last_seq == checkpoint_last_seq;
+  }
+  if (start_log) {
     PRIVREC_RETURN_NOT_OK(WriteFileDurably(
         dir_, log_path, SerializeLogHeader(checkpoint_last_seq + 1)));
   }
@@ -289,13 +302,10 @@ Status BudgetLedger::Compact() {
                                          SerializeCheckpoint(totals_,
                                                              last_seq)));
   // Reset the log AFTER the checkpoint committed: the rename above is the
-  // commit point, and a crash between the two leaves checkpoint + full
-  // log, which Open() rejects only if they disagree on sequence — they
-  // cannot, because the log's records are <= last_seq and are re-applied
-  // ... never double-counted: Open() requires log.first_seq ==
-  // ckpt.last_seq + 1, so a stale overlapping log fails loudly rather
-  // than double-charging. (Conservative: recovery refuses, never
-  // under-reports.)
+  // commit point. A crash between the two leaves the new checkpoint next
+  // to the old log, whose records all sit at or below last_seq; Open()
+  // skips them (the checkpoint counts them) and appends continue the
+  // sequence, so no charge is lost or counted twice.
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;

@@ -46,7 +46,10 @@ struct LedgerOptions {
 /// log tail is a torn append — truncated, with the intact prefix kept
 /// (truncated_tail_bytes() reports the cut). Because appends are
 /// charge-before-release, dropping a torn tail record can only drop a
-/// charge whose release never happened.
+/// charge whose release never happened. Log records at or below the
+/// checkpoint's last_seq are skipped (a crash inside Compact() can leave
+/// the old log next to the new checkpoint, which already counts them);
+/// a log starting past last_seq + 1 is a gap and refuses to open.
 ///
 /// Crash semantics under FaultPoint::kLedgerPartialAppend: AppendCharge
 /// persists half a record, fsyncs, REPORTS SUCCESS, and silently swallows

@@ -4,107 +4,10 @@
 #include <atomic>
 
 #include "common/logging.h"
-#include "common/stopwatch.h"
-#include "core/privacy_accountant.h"
 #include "eval/parallel.h"
 #include "random/rng.h"
 
 namespace privrec {
-
-ConcurrentDriverReport RunConcurrentDriver(
-    RecommendationService& service, DynamicGraph& graph,
-    const ConcurrentDriverOptions& options) {
-  const NodeId num_users =
-      options.num_users == 0 ? graph.num_nodes() : options.num_users;
-  std::atomic<uint64_t> serve_ok{0}, serve_refused{0}, serve_shed{0},
-      serve_failed{0};
-  std::atomic<uint64_t> mutate_ok{0}, mutate_noop{0};
-
-  // Per-worker request streams: splittable seeding, so the traffic shape
-  // is reproducible for a fixed (seed, num_threads) regardless of thread
-  // scheduling.
-  SplitMix64 seeder(options.seed);
-  std::vector<uint64_t> worker_seeds(options.num_threads);
-  for (auto& s : worker_seeds) s = seeder.Next();
-
-  Stopwatch watch;
-  RunWorkers(options.num_threads, [&](unsigned w) {
-    Rng rng(worker_seeds[w]);
-    uint64_t ok = 0, refused = 0, shed = 0, failed = 0, mut_ok = 0,
-             mut_noop = 0;
-    for (uint64_t op = 0; op < options.ops_per_thread; ++op) {
-      if (options.mutate_fraction > 0 &&
-          rng.NextBernoulli(options.mutate_fraction)) {
-        // Edge toggle on a uniform pair. A lost race (another worker
-        // flipped the same pair between probe and mutation) surfaces as
-        // FailedPrecondition from the graph; count it as a no-op.
-        const NodeId u = static_cast<NodeId>(rng.NextBounded(num_users));
-        NodeId v = static_cast<NodeId>(rng.NextBounded(num_users));
-        if (u == v) v = (v + 1) % num_users;
-        if (u == v) {
-          ++mut_noop;
-          continue;
-        }
-        Status status = graph.HasEdge(u, v) ? service.RemoveEdge(u, v)
-                                            : service.AddEdge(u, v);
-        if (status.ok()) {
-          ++mut_ok;
-        } else {
-          ++mut_noop;
-        }
-        continue;
-      }
-      const NodeId user = static_cast<NodeId>(rng.NextBounded(num_users));
-      if (options.list_fraction > 0 &&
-          rng.NextBernoulli(options.list_fraction)) {
-        auto list = service.ServeList(user, options.list_k);
-        if (list.ok()) {
-          ++ok;
-        } else if (IsBudgetExhausted(list.status())) {
-          ++refused;
-        } else if (list.status().IsUnavailable()) {
-          ++shed;
-        } else {
-          ++failed;
-        }
-      } else {
-        auto rec = service.ServeRecommendation(user);
-        if (rec.ok()) {
-          ++ok;
-        } else if (IsBudgetExhausted(rec.status())) {
-          ++refused;
-        } else if (rec.status().IsUnavailable()) {
-          ++shed;
-        } else {
-          ++failed;
-        }
-      }
-    }
-    serve_ok.fetch_add(ok, std::memory_order_acq_rel);
-    serve_refused.fetch_add(refused, std::memory_order_acq_rel);
-    serve_shed.fetch_add(shed, std::memory_order_acq_rel);
-    serve_failed.fetch_add(failed, std::memory_order_acq_rel);
-    mutate_ok.fetch_add(mut_ok, std::memory_order_acq_rel);
-    mutate_noop.fetch_add(mut_noop, std::memory_order_acq_rel);
-  });
-
-  ConcurrentDriverReport report;
-  report.wall_seconds = watch.ElapsedSeconds();
-  report.serve_ok = serve_ok.load();
-  report.serve_refused = serve_refused.load();
-  report.serve_shed = serve_shed.load();
-  report.serve_failed = serve_failed.load();
-  report.mutate_ok = mutate_ok.load();
-  report.mutate_noop = mutate_noop.load();
-  const double wall = report.wall_seconds > 0 ? report.wall_seconds : 1e-12;
-  report.serves_per_second = static_cast<double>(report.serve_ok) / wall;
-  report.ops_per_second =
-      static_cast<double>(report.serve_ok + report.serve_refused +
-                          report.serve_shed + report.serve_failed +
-                          report.mutate_ok + report.mutate_noop) /
-      wall;
-  return report;
-}
 
 MirroredMutator::MirroredMutator(RecommendationService* base,
                                  RecommendationService* neighbor,

@@ -4,67 +4,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/dynamic_graph.h"
+#include "graph/csr_graph.h"
 #include "random/rng.h"
 #include "serve/recommendation_service.h"
 
 namespace privrec {
-
-/// Mixed serve/mutate traffic shape for RunConcurrentDriver.
-struct ConcurrentDriverOptions {
-  /// Worker threads issuing requests (all started behind one barrier).
-  unsigned num_threads = 1;
-  /// Requests per worker.
-  uint64_t ops_per_thread = 1000;
-  /// Probability that a request is an edge toggle (AddEdge/RemoveEdge on a
-  /// uniform node pair) instead of a serve. 0 = read-only traffic on an
-  /// unmutated graph (the RCU fast path).
-  double mutate_fraction = 0.0;
-  /// Probability that a serve request is a ServeList instead of a single
-  /// recommendation.
-  double list_fraction = 0.0;
-  /// k for ServeList requests.
-  size_t list_k = 5;
-  /// Users are drawn uniformly from [0, num_users); 0 = all graph nodes.
-  NodeId num_users = 0;
-  /// Seed for the per-worker request streams (which user, which op). The
-  /// serve randomness itself comes from the service's shard streams.
-  uint64_t seed = 1234;
-};
-
-/// Aggregate result of one driver run.
-struct ConcurrentDriverReport {
-  uint64_t serve_ok = 0;
-  /// Serves refused because the user's lifetime budget was spent (the
-  /// sound failure mode, expected under sustained per-user traffic).
-  uint64_t serve_refused = 0;
-  /// Serves shed by the overload ladder or failed by an injected
-  /// no-fallback fault (kUnavailable — the transient failure mode,
-  /// expected when OverloadPolicy or a fail_serve FaultPlan is active).
-  uint64_t serve_shed = 0;
-  /// Serves failed for any other reason (should be 0 on healthy graphs).
-  uint64_t serve_failed = 0;
-  uint64_t mutate_ok = 0;
-  /// Edge toggles that lost a race (edge appeared/vanished between the
-  /// membership probe and the mutation) — expected noise, not an error.
-  uint64_t mutate_noop = 0;
-  double wall_seconds = 0;
-  /// Successful serves per second of wall time, summed over workers.
-  double serves_per_second = 0;
-  /// All completed requests (serves incl. refusals + toggles) per second.
-  double ops_per_second = 0;
-};
-
-/// Drives `num_threads` workers of mixed Serve/ServeList/mutate traffic
-/// against `service` (whose graph must be `graph`) and reports aggregate
-/// throughput. Workers start behind a barrier (see RunWorkers) so
-/// wall-clock throughput is honest, draw their request streams from
-/// independent splittable seeds, and use the service's thread-safe
-/// Rng-less overloads. This is the engine under the concurrency stress
-/// tests.
-ConcurrentDriverReport RunConcurrentDriver(
-    RecommendationService& service, DynamicGraph& graph,
-    const ConcurrentDriverOptions& options);
 
 /// Traffic shape for one MirroredMutator::RunPhase call.
 struct MirroredMutatorOptions {

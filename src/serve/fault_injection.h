@@ -219,8 +219,8 @@ class FaultInjector {
 /// Shed requests return kUnavailable, are counted in
 /// ServiceStats::shed_overload, and never touch the accountant: budget
 /// accounting stays exact under overload by construction.
+/// Both caps at 0 (the default) admit everything.
 struct OverloadPolicy {
-  bool enabled = false;
   /// Admitted-or-waiting requests per shard above which budget-aware
   /// shedding starts (0 = no soft cap).
   uint32_t max_inflight_per_shard = 0;

@@ -183,7 +183,9 @@ Status RecommendationService::InjectServeFaultsLocked(Shard& shard) {
 bool RecommendationService::AdmitOrShed(Shard& shard, NodeId user,
                                         Status* shed_status) {
   const OverloadPolicy& policy = options_.overload;
-  if (!policy.enabled) return true;
+  if (policy.max_queue_depth == 0 && policy.max_inflight_per_shard == 0) {
+    return true;
+  }
   const uint32_t depth = shard.inflight.load(std::memory_order_acquire);
   if (policy.max_queue_depth > 0 && depth >= policy.max_queue_depth) {
     shard.shed_overload.fetch_add(1, std::memory_order_relaxed);
@@ -214,7 +216,8 @@ bool RecommendationService::AdmitOrShed(Shard& shard, NodeId user,
 }
 
 void RecommendationService::UpdateBudgetHintLocked(Shard& shard, NodeId user) {
-  if (!options_.overload.enabled) return;
+  // Only the soft cap reads the hints.
+  if (options_.overload.max_inflight_per_shard == 0) return;
   auto it = shard.accountants.find(user);
   const double remaining = it == shard.accountants.end()
                                ? options_.per_user_budget
@@ -443,7 +446,7 @@ Result<RecommendationService::Admission> RecommendationService::AdmitLocked(
     ++shard.stats.refused_budget;
     UpdateBudgetHintLocked(shard, user);
     // A descriptive refusal.
-    return accountant.Charge(admission.epsilon, std::string(reason));
+    return accountant.Charge(admission.epsilon, reason);
   }
   if (!accountant.CanChargeInWindow(admission.epsilon)) {
     // Window exhausted while lifetime budget still has room. kDegrade
@@ -459,7 +462,7 @@ Result<RecommendationService::Admission> RecommendationService::AdmitLocked(
     if (!admission.degraded) {
       ++shard.stats.refused_window;
       UpdateBudgetHintLocked(shard, user);
-      return accountant.Charge(admission.epsilon, std::string(reason));
+      return accountant.Charge(admission.epsilon, reason);
     }
   }
   return admission;
@@ -499,7 +502,7 @@ Status RecommendationService::CommitLocked(Shard& shard, NodeId user,
   // entry reflects; if it still fails, charging without releasing is the
   // conservative direction for privacy.
   PRIVREC_CHECK_OK(AccountantForLocked(shard, user)
-                       .Charge(admission.epsilon, std::string(reason)));
+                       .Charge(admission.epsilon, reason));
   UpdateBudgetHintLocked(shard, user);
   return Status::OK();
 }
@@ -686,8 +689,7 @@ Status RecommendationService::SaveCheckpoint(const std::string& dir) {
 void RecommendationService::ImportSpentBudget(NodeId user, double spent) {
   Shard& shard = ShardFor(user);
   std::lock_guard<std::mutex> lock(shard.mu);
-  AccountantForLocked(shard, user)
-      .RestoreSpent(spent, "recovered ledger spend");
+  AccountantForLocked(shard, user).RestoreSpent(spent);
   UpdateBudgetHintLocked(shard, user);
 }
 

@@ -74,7 +74,7 @@ struct ServiceOptions {
   /// hook at its one-relaxed-load disarmed cost.
   FaultInjector* fault_injector = nullptr;
   /// Per-shard admission control + budget-aware load shedding
-  /// (serve/fault_injection.h). Disabled by default.
+  /// (serve/fault_injection.h). Both caps default to 0: admit everything.
   OverloadPolicy overload;
   /// Bounded retries with deterministic backoff for transient
   /// (kUnavailable) failures: injected no-fallback faults and shed

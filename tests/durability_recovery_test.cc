@@ -354,30 +354,65 @@ TEST(BudgetLedgerTest, InjectedPartialAppendLiesAndLosesTheCharge) {
   EXPECT_DOUBLE_EQ(spent[1], 0.5);
 }
 
-TEST(BudgetLedgerTest, StaleLogAfterCheckpointRefusesLoudly) {
-  // Compact writes the checkpoint then resets the log; a crash that
-  // resurrects an OVERLAPPING pre-compaction log must refuse on open
-  // (double-counting charges would silently overstate spend — wrong in
-  // the other direction).
+TEST(BudgetLedgerTest, StaleLogAfterCheckpointCountsOnceButAGapRefuses) {
+  // Compact commits the checkpoint, then resets the log; a crash between
+  // the two leaves the new checkpoint next to the old log. Reopening must
+  // count every charge exactly once and keep the sequence going, while a
+  // log that starts past the checkpoint still refuses.
   const std::string dir = FreshDir("ledger_stale_log");
+  std::unordered_map<NodeId, double> before;
+  std::string old_log;
   {
     auto ledger = BudgetLedger::Open(dir);
     ASSERT_TRUE(ledger.ok());
     ASSERT_TRUE((*ledger)->AppendCharge(1, 0.5).ok());
-  }
-  const std::string old_log = ReadWholeFile(dir + "/ledger.log");
-  {
-    auto ledger = BudgetLedger::Open(dir);
-    ASSERT_TRUE(ledger.ok());
+    ASSERT_TRUE((*ledger)->AppendCharge(2, 0.25).ok());
+    ASSERT_TRUE((*ledger)->AppendCharge(1, 0.125).ok());
+    before = (*ledger)->SpentByUser();
+    old_log = ReadWholeFile(dir + "/ledger.log");
     ASSERT_TRUE((*ledger)->Compact().ok());
   }
-  {  // resurrect the pre-compaction log
+  {  // the crash window: the old log is back next to the new checkpoint
     std::ofstream out(dir + "/ledger.log", std::ios::binary | std::ios::trunc);
     out.write(old_log.data(), static_cast<std::streamsize>(old_log.size()));
   }
-  auto reopened = BudgetLedger::Open(dir);
-  ASSERT_FALSE(reopened.ok());
-  EXPECT_TRUE(reopened.status().IsIOError()) << reopened.status().ToString();
+  {
+    auto reopened = BudgetLedger::Open(dir);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ((*reopened)->SpentByUser(), before);
+    ASSERT_TRUE((*reopened)->AppendCharge(2, 1.0).ok());
+  }
+  // The append after the reopen continued the sequence: the next open
+  // keeps it instead of cutting it off as a torn tail.
+  auto continued = BudgetLedger::Open(dir);
+  ASSERT_TRUE(continued.ok()) << continued.status().ToString();
+  EXPECT_EQ((*continued)->truncated_tail_bytes(), 0u);
+  auto spent = (*continued)->SpentByUser();
+  EXPECT_DOUBLE_EQ(spent[1], 0.625);
+  EXPECT_DOUBLE_EQ(spent[2], 1.25);
+
+  // A log that starts beyond the checkpoint's last_seq + 1 lost the
+  // charges in between: open refuses rather than under-report spend.
+  const std::string gap_dir = FreshDir("ledger_log_gap");
+  std::string first_checkpoint;
+  {
+    auto ledger = BudgetLedger::Open(gap_dir);
+    ASSERT_TRUE(ledger.ok());
+    ASSERT_TRUE((*ledger)->AppendCharge(1, 0.5).ok());
+    ASSERT_TRUE((*ledger)->Compact().ok());  // checkpoint ends at 1
+    first_checkpoint = ReadWholeFile(gap_dir + "/ledger.ckpt");
+    ASSERT_TRUE((*ledger)->AppendCharge(1, 0.5).ok());
+    ASSERT_TRUE((*ledger)->Compact().ok());  // log now starts at 3
+  }
+  {  // an older checkpoint next to the newer log
+    std::ofstream out(gap_dir + "/ledger.ckpt",
+                      std::ios::binary | std::ios::trunc);
+    out.write(first_checkpoint.data(),
+              static_cast<std::streamsize>(first_checkpoint.size()));
+  }
+  auto gapped = BudgetLedger::Open(gap_dir);
+  ASSERT_FALSE(gapped.ok());
+  EXPECT_TRUE(gapped.status().IsIOError()) << gapped.status().ToString();
 }
 
 // ---------------------------------------------------------------------
@@ -617,13 +652,13 @@ TEST(CrashRecoverDifferentialTest, TornWalWriteNeverLetsAppliedStateRunAhead) {
 TEST(CrashRecoverDifferentialTest, RestoreSpentIsMonotoneAndConservative) {
   PrivacyAccountant accountant(1.0);
   ASSERT_TRUE(accountant.Charge(0.25, "pre").ok());
-  accountant.RestoreSpent(0.1, "lower: no-op");
+  accountant.RestoreSpent(0.1);  // lower: no-op
   EXPECT_DOUBLE_EQ(accountant.spent(), 0.25);
-  accountant.RestoreSpent(0.75, "recovered");
+  accountant.RestoreSpent(0.75);
   EXPECT_DOUBLE_EQ(accountant.spent(), 0.75);
   // Over-budget restore: the accountant refuses everything from here on —
   // the conservative posture when the durable ledger out-says the cap.
-  accountant.RestoreSpent(1.5, "over-recovered");
+  accountant.RestoreSpent(1.5);
   EXPECT_DOUBLE_EQ(accountant.spent(), 1.5);
   EXPECT_LT(accountant.remaining(), 0.0);
   EXPECT_FALSE(accountant.CanCharge(0.01));

@@ -39,7 +39,6 @@ TEST(FaultOverloadConcurrentTest, BudgetAccountingStaysExactUnderShedding) {
   options.num_shards = 2;
   options.seed = 7;
   options.fault_injector = &injector;
-  options.overload.enabled = true;
   options.overload.max_inflight_per_shard = 1;
   options.overload.max_queue_depth = 5;
   options.overload.shed_budget_fraction = 0.5;
@@ -128,7 +127,6 @@ TEST(FaultOverloadTest, IdleOverloadPolicyIsTransparent) {
     options.num_shards = 2;
     options.seed = 99;
     if (run == 1) {
-      options.overload.enabled = true;
       options.overload.max_inflight_per_shard = 1;
       options.overload.max_queue_depth = 2;
       options.overload.shed_budget_fraction = 0.9;
@@ -162,7 +160,6 @@ TEST(FaultOverloadConcurrentTest, SheddingPrefersBudgetPoorUsers) {
   options.num_shards = 1;  // one shard: every request contends
   options.seed = 11;
   options.fault_injector = &injector;
-  options.overload.enabled = true;
   options.overload.max_inflight_per_shard = 1;
   options.overload.shed_budget_fraction = 0.25;
   RecommendationService service(

@@ -78,7 +78,6 @@ ServiceAuditOptions FixtureAuditOptions() {
   options.trials_per_side = AuditTrialsPerSide();
   options.confidence = 0.99;
   options.seed = 20260730;
-  options.multi_shard_count = 8;
   return options;
 }
 
@@ -444,109 +443,6 @@ TEST(ServeListAuditTest, HalvedNoiseListServiceIsFlaggedOnEveryPath) {
   }
 }
 
-// ------------------------------------------------------------- allocation
-// Adaptive trial allocation: a fixed TOTAL budget spent round by round,
-// each round's slice weighted by the paths' current certification gaps
-// (ε̂ − certified bound). Trials flow to the widest Clopper–Pearson
-// intervals — the cells where another trial buys the most certification.
-
-TEST(AdaptiveAllocationTest, StaysWithinBudgetAndConcentratesTrials) {
-  ServiceAuditOptions options = FixtureAuditOptions();
-  options.trials_per_side = 0;  // must be ignored when a budget is set
-  options.total_trial_budget = 4000;
-  options.adaptive_rounds = 4;
-  options.seed = 90210;
-  ServiceAuditor auditor([] { return std::make_unique<HalvedSensitivityCn>(); },
-                         options);
-  auto audit = auditor.AuditPair(FixturePair(), /*target=*/0);
-  ASSERT_TRUE(audit.ok()) << audit.status().ToString();
-  ASSERT_EQ(audit->per_path.size(), 4u);
-  uint64_t total = 0, min_trials = ~0ull, max_trials = 0;
-  for (const PathEpsilonEstimate& estimate : audit->per_path) {
-    EXPECT_GT(estimate.trials_per_side, 0u) << estimate.path;
-    total += estimate.trials_per_side;
-    min_trials = std::min(min_trials, estimate.trials_per_side);
-    max_trials = std::max(max_trials, estimate.trials_per_side);
-  }
-  // The budget is a hard ceiling (and the loop spends all of it).
-  EXPECT_LE(total, options.total_trial_budget);
-  EXPECT_EQ(total, options.total_trial_budget);
-  // Non-uniform by construction: the widest-interval path drew strictly
-  // more than the uniform share, so some other path drew strictly less.
-  const uint64_t uniform_share = options.total_trial_budget / 4;
-  EXPECT_GT(max_trials, uniform_share);
-  EXPECT_LT(min_trials, uniform_share);
-}
-
-TEST(AdaptiveAllocationTest, FixedSeedReproducesAdaptiveAudit) {
-  ServiceAuditOptions options = FixtureAuditOptions();
-  options.total_trial_budget = 1600;
-  options.adaptive_rounds = 4;
-  ServiceAuditor auditor([] { return std::make_unique<HalvedSensitivityCn>(); },
-                         options);
-  auto first = auditor.AuditPair(FixturePair(), 0);
-  auto second = auditor.AuditPair(FixturePair(), 0);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  ASSERT_EQ(first->per_path.size(), second->per_path.size());
-  for (size_t i = 0; i < first->per_path.size(); ++i) {
-    // Allocation decisions feed back into later rounds' sampling, so
-    // bitwise-equal estimates certify the whole loop is deterministic,
-    // not just the final arithmetic.
-    EXPECT_EQ(first->per_path[i].trials_per_side,
-              second->per_path[i].trials_per_side);
-    EXPECT_DOUBLE_EQ(first->per_path[i].epsilon_hat,
-                     second->per_path[i].epsilon_hat);
-    EXPECT_DOUBLE_EQ(first->per_path[i].epsilon_lower_bound,
-                     second->per_path[i].epsilon_lower_bound);
-  }
-}
-
-TEST(AdaptiveAllocationTest, AdaptiveCertifiesAtLeastUniformAtEqualBudget) {
-  // The allocation's reason to exist: at the SAME total spend, steering
-  // trials toward the widest intervals must certify at least as much of
-  // the broken fixture's leak as splitting uniformly.
-  // Both audits are deterministic at a fixed seed, so GE below is an
-  // exact regression pin, not a flaky sample. The paths' distributions
-  // are nearly iid on this fixture (an honest stack serves the same
-  // distribution everywhere), so adaptive's edge is modest — the seeds
-  // are ones where steering realizes it at each build's budget.
-  const uint64_t budget = PRIVREC_TEST_SANITIZED ? 2000 : 8000;
-  ServiceAuditOptions uniform = FixtureAuditOptions();
-  uniform.release_epsilon = 0.8;
-  uniform.trials_per_side = budget / 4;
-  uniform.seed = PRIVREC_TEST_SANITIZED ? 2026 : 1;
-  ServiceAuditOptions adaptive = uniform;
-  adaptive.trials_per_side = 0;
-  adaptive.total_trial_budget = budget;
-  adaptive.adaptive_rounds = 4;
-  ServiceAuditor uniform_auditor(
-      [] { return std::make_unique<HalvedSensitivityCn>(); }, uniform);
-  ServiceAuditor adaptive_auditor(
-      [] { return std::make_unique<HalvedSensitivityCn>(); }, adaptive);
-  auto uniform_audit = uniform_auditor.AuditPair(FixturePair(), 0);
-  auto adaptive_audit = adaptive_auditor.AuditPair(FixturePair(), 0);
-  ASSERT_TRUE(uniform_audit.ok());
-  ASSERT_TRUE(adaptive_audit.ok());
-  double uniform_certified = 0, adaptive_certified = 0;
-  uint64_t adaptive_total = 0;
-  for (const PathEpsilonEstimate& estimate : uniform_audit->per_path) {
-    uniform_certified =
-        std::max(uniform_certified, estimate.epsilon_lower_bound);
-  }
-  for (const PathEpsilonEstimate& estimate : adaptive_audit->per_path) {
-    adaptive_certified =
-        std::max(adaptive_certified, estimate.epsilon_lower_bound);
-    adaptive_total += estimate.trials_per_side;
-  }
-  ASSERT_EQ(adaptive_total, budget);  // equal total spend, by construction
-  EXPECT_GE(adaptive_certified, uniform_certified);
-#if !PRIVREC_TEST_SANITIZED
-  // And at the full budget the broken calibration stays certified.
-  EXPECT_GT(adaptive_certified, uniform.release_epsilon);
-#endif
-}
-
 // ---------------------------------------------------------- under mutation
 // AuditPairUnderMutation: mirrored mutator threads apply identical
 // deterministic toggle streams to BOTH pair sides while measurement
@@ -581,6 +477,37 @@ TEST(UnderMutationAuditTest, HonestServiceStaysCertifiedUnderChurn) {
   EXPECT_GT(stats.delta_kept + stats.delta_recomputed, 0u);
   EXPECT_EQ(stats.journal_fallbacks, 0u);
   EXPECT_GT(stats.audit_serves, 0u);
+}
+
+TEST(UnderMutationAuditTest, ListShapeStaysCertifiedUnderChurn) {
+  // The k-slot peeling release audited through the same churn: per-round
+  // list reductions share one Bonferroni budget.
+  ServiceAuditOptions options = FixtureAuditOptions();
+  options.release_epsilon = 0.8;
+  options.trials_per_side = PRIVREC_TEST_SANITIZED ? 600 : 3000;
+  options.shape = ServeAuditShape::kList;
+  options.list_k = 2;
+  ServiceAuditor auditor(
+      [] { return std::make_unique<CommonNeighborsUtility>(); }, options);
+  MutationAuditOptions mutation;
+  mutation.mutator_threads = 2;
+  mutation.rounds = 6;
+  auto first =
+      auditor.AuditPairUnderMutation(FixturePair(), /*target=*/0, mutation);
+  auto second =
+      auditor.AuditPairUnderMutation(FixturePair(), /*target=*/0, mutation);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  const PathEpsilonEstimate& estimate = first->per_path[0];
+  EXPECT_EQ(estimate.path, "under_mutation");
+  EXPECT_LE(estimate.epsilon_lower_bound, options.release_epsilon)
+      << "honest list release certified a violation under churn";
+  // The mirrored mutators leave a deterministic graph state per round, so
+  // the whole audit reproduces bitwise.
+  const PathEpsilonEstimate& again = second->per_path[0];
+  EXPECT_EQ(estimate.epsilon_hat, again.epsilon_hat);
+  EXPECT_EQ(estimate.epsilon_lower_bound, again.epsilon_lower_bound);
+  EXPECT_EQ(estimate.bonferroni_cells, again.bonferroni_cells);
 }
 
 TEST(UnderMutationAuditTest, TinyJournalForcesFallbackRepairsUnderAudit) {
@@ -652,7 +579,6 @@ ServiceAuditOptions NodeAuditOptions(double epsilon, uint32_t degree_cap) {
   options.trials_per_side = AuditTrialsPerSide();
   options.confidence = 0.99;
   options.seed = 20260808;
-  options.multi_shard_count = 8;
   options.privacy_model = PrivacyModel::kNode;
   options.degree_cap = degree_cap;
   return options;
