@@ -210,8 +210,9 @@ void BM_SnapshotReuse(benchmark::State& state) {
 BENCHMARK(BM_SnapshotReuse)->Unit(benchmark::kMicrosecond);
 
 void BM_SnapshotAfterMutation(benchmark::State& state) {
-  // Worst case: every acquisition follows a mutation, forcing a rebuild —
-  // the pre-cache cost, kept measurable for regression tracking.
+  // Every acquisition follows a mutation: the mutation's block-shared
+  // publication (the table's top level plus the endpoints' blocks) and
+  // then one pointer copy, kept measurable for regression tracking.
   static const CsrGraph base = BenchGraph();
   DynamicGraph graph(base);
   bool present = graph.HasEdge(0, 1);

@@ -220,10 +220,13 @@ int main(int argc, char** argv) {
                   std::to_string(stats.ledger_appends)});
   }
   table.Print();
-  // The graph layer publishes mutation-path snapshots by splicing the
-  // journal into the previous CSR instead of rebuilding (O(Δ), see README
-  // "Incremental maintenance").
-  std::printf("\nsnapshots: %llu patched, %llu rebuilt from scratch\n",
+  // Every mutation publishes its snapshot before it returns, as a
+  // block-shared splice of the previous CSR that rebuilds only the toggled
+  // endpoints' blocks (README "Block-shared CSR snapshots"); only the
+  // initial snapshot (and an injected splice failure) is built from
+  // scratch.
+  std::printf("\nsnapshots: %llu block-shared splices, %llu built from "
+              "scratch\n",
               static_cast<unsigned long long>(graph->snapshot_patches()),
               static_cast<unsigned long long>(graph->snapshot_builds()));
 

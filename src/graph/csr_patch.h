@@ -1,40 +1,32 @@
 #ifndef PRIVREC_GRAPH_CSR_PATCH_H_
 #define PRIVREC_GRAPH_CSR_PATCH_H_
 
-#include <span>
-
 #include "common/result.h"
 #include "graph/csr_graph.h"
 #include "graph/edge_delta.h"
 
 namespace privrec {
 
-/// Journal-driven CSR patching (the "incrementally-patched CSR snapshots"
-/// of README "Incremental maintenance"): applies the ordered edge-delta
-/// window `deltas` to the immutable CSR `prev` and returns the CSR of the
-/// post-window graph, without rebuilding from adjacency sets. Each delta
-/// toggles arc u -> v; when `prev` is undirected the mirror arc v -> u
-/// toggles too (undirected CSRs store each edge as two arcs).
+/// Block-shared CSR splice (README "Block-shared CSR snapshots"): returns
+/// the CSR of `prev` with the one toggle `delta` applied — arc u -> v, plus
+/// the mirror arc v -> u when `prev` is undirected (undirected CSRs store
+/// each edge as two arcs).
 ///
-/// One pass over the node range: the offset array is re-based with a
-/// running arc shift, untouched nodes' target spans are bulk-memcpy'd, and
-/// each touched node's sorted neighbor list is spliced against its (also
-/// sorted) net insertions/deletions. Deltas that cancel inside the window
-/// (add then remove of the same arc) net to nothing. Cost beyond the
-/// unavoidable O(n + m) array copy of an immutable snapshot:
-/// O(Δ log Δ + Σ deg(touched)) — no hashing, no global sort, no
-/// per-arc dedup, which is what makes a patched publication several times
-/// cheaper than GraphBuilder::Build on the same state. perfbench's traced
-/// churn run reports its cost per toggle (`graph.publish_us`) and the
-/// share of publications it serves (`graph.patch_share`).
+/// The result copies the top level of `prev`'s two-level block table and
+/// rebuilds only the blocks holding the toggled endpoints, each with a
+/// copy of its chunk of the table (CsrGraph::SetOutNeighbors); every other
+/// block and chunk is shared, and `prev` itself stays intact for whoever
+/// still reads it. Cost: one pointer per chunk of 4,096 nodes plus at most
+/// two blocks and two chunks — no per-arc work outside the endpoints'
+/// blocks. DynamicGraph publishes every successful AddEdge /
+/// RemoveEdge through this splice; perfbench's traced churn run reports
+/// the mutation's cost (`graph.mutate_svc_p50_us`) and the share of
+/// publications the splice serves (`graph.patch_share`).
 ///
-/// Errors (InvalidArgument) when the window is inconsistent with `prev`
-/// after cancellation — a net insertion of an arc already present, a net
-/// deletion of an arc absent, an endpoint out of range, or a net count
-/// outside ±1 (a malformed journal). Callers treat any error as "patch
-/// impossible, rebuild from scratch"; DynamicGraph does exactly that.
-Result<CsrGraph> PatchCsr(const CsrGraph& prev,
-                          std::span<const EdgeDelta> deltas);
+/// Errors (InvalidArgument) when the toggle is inconsistent with `prev`:
+/// an insertion of a present arc, a deletion of an absent arc, or an
+/// endpoint out of range (or a self-loop, which no CSR stores).
+Result<CsrGraph> PatchCsr(const CsrGraph& prev, const EdgeDelta& delta);
 
 }  // namespace privrec
 

@@ -1,7 +1,7 @@
 #include "graph/degree_cap.h"
 
 #include <algorithm>
-#include <cstring>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -27,52 +27,27 @@ CsrGraph ProjectDegreeCapped(const CsrGraph& graph, uint32_t cap) {
 
 Result<CsrGraph> PatchProjectedCsr(const CsrGraph& prev_projected,
                                    const CsrGraph& new_base,
-                                   std::span<const EdgeDelta> window,
-                                   uint32_t cap) {
+                                   const EdgeDelta& delta, uint32_t cap) {
   if (cap == 0) return Status::InvalidArgument("degree cap must be positive");
   if (prev_projected.num_nodes() != new_base.num_nodes()) {
     return Status::InvalidArgument(
-        "node count changed across the window; re-project from scratch");
+        "node count changed under the toggle; re-project from scratch");
   }
-  const NodeId n = new_base.num_nodes();
-  // Touched = delta endpoints. A directed delta only changes its tail's
-  // out-list, but taking both endpoints is a cheap safe superset (the
-  // head's re-derived prefix equals its old one).
-  std::vector<NodeId> touched;
-  touched.reserve(window.size() * 2);
-  for (const EdgeDelta& delta : window) {
-    touched.push_back(delta.u);
-    touched.push_back(delta.v);
+  if (delta.u >= new_base.num_nodes() || delta.v >= new_base.num_nodes()) {
+    return Status::InvalidArgument("delta endpoint out of range");
   }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  for (NodeId t : touched) {
-    if (t >= n) {
-      return Status::InvalidArgument("delta endpoint out of range");
+  CsrGraph next = prev_projected;
+  for (const NodeId node : {delta.u, delta.v}) {
+    // Re-derive this node's kept prefix from the patched base: the
+    // selection rule reads nothing but the node's own sorted list.
+    const std::span<const NodeId> neighbors = new_base.OutNeighbors(node);
+    const std::span<const NodeId> kept =
+        neighbors.first(std::min<size_t>(neighbors.size(), cap));
+    if (!std::ranges::equal(kept, next.OutNeighbors(node))) {
+      next.SetOutNeighbors(node, kept);
     }
   }
-
-  std::vector<uint64_t> offsets(n + 1, 0);
-  std::vector<NodeId> targets;
-  targets.reserve(prev_projected.num_arcs() + touched.size());
-  size_t next_touched = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    if (next_touched < touched.size() && touched[next_touched] == v) {
-      ++next_touched;
-      // Re-derive this node's kept prefix from the patched base: the
-      // selection rule reads nothing but the node's own sorted list.
-      const std::span<const NodeId> neighbors = new_base.OutNeighbors(v);
-      const size_t kept = std::min<size_t>(neighbors.size(), cap);
-      targets.insert(targets.end(), neighbors.begin(),
-                     neighbors.begin() + kept);
-    } else {
-      const std::span<const NodeId> prev = prev_projected.OutNeighbors(v);
-      targets.insert(targets.end(), prev.begin(), prev.end());
-    }
-    offsets[v + 1] = targets.size();
-  }
-  return CsrGraph(std::move(offsets), std::move(targets),
-                  new_base.directed());
+  return next;
 }
 
 }  // namespace privrec

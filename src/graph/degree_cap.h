@@ -2,7 +2,6 @@
 #define PRIVREC_GRAPH_DEGREE_CAP_H_
 
 #include <cstdint>
-#include <span>
 
 #include "common/result.h"
 #include "graph/csr_graph.h"
@@ -26,7 +25,8 @@ namespace privrec {
 ///    candidate set);
 ///  - stable: toggling one edge (u, v) changes only u's (and, undirected,
 ///    v's) kept prefix, by at most one insertion/eviction at the cap
-///    boundary — which is what makes the O(Δ) patch below possible;
+///    boundary — which is what lets the patch below rebuild at most the
+///    endpoints' blocks;
 ///  - degree-bounding: every projected out-degree is <= D, which is the
 ///    fact node-sensitivity accounting (UtilityFunction::
 ///    NodeSensitivityBound) charges against.
@@ -40,18 +40,18 @@ namespace privrec {
 /// claim of symmetry.
 CsrGraph ProjectDegreeCapped(const CsrGraph& graph, uint32_t cap);
 
-/// O(Δ) companion to PatchCsr for the projected view: given the previous
-/// projected CSR, the freshly patched FORWARD base CSR, and the journal
-/// window that produced it, re-derives only the delta endpoints' kept
-/// prefixes (every other node's projected list is byte-copied from
-/// `prev_projected` — the selection rule is per-node-local, so nothing
-/// else can change). InvalidArgument when the node counts disagree
-/// (AddNode in the window) — callers fall back to ProjectDegreeCapped on
-/// the new base.
+/// Block-shared companion to PatchCsr for the projected view: given the
+/// previous projected CSR, the base CSR after the toggle `delta`, and the
+/// toggle itself, re-derives the kept prefixes of the toggle's endpoints
+/// from `new_base` and shares every other block of `prev_projected` — the
+/// selection rule is per-node-local, so nothing else can change. An
+/// endpoint whose kept prefix is unchanged (a toggle past the cap, or the
+/// head of a directed arc) costs no block at all. InvalidArgument when the
+/// cap is 0, the node counts disagree, or an endpoint is out of range;
+/// DynamicGraph then re-projects with ProjectDegreeCapped.
 Result<CsrGraph> PatchProjectedCsr(const CsrGraph& prev_projected,
                                    const CsrGraph& new_base,
-                                   std::span<const EdgeDelta> window,
-                                   uint32_t cap);
+                                   const EdgeDelta& delta, uint32_t cap);
 
 }  // namespace privrec
 

@@ -7,19 +7,45 @@
 #include "persist/wal.h"
 
 namespace privrec {
+namespace {
 
-DynamicGraph::DynamicGraph(NodeId num_nodes, bool directed)
-    : directed_(directed), adjacency_(num_nodes) {
-  num_nodes_.store(num_nodes, std::memory_order_release);
+/// The from-scratch publication route: GraphBuilder over `prev`'s arcs
+/// with `delta` applied (an appended node when `delta` is null), through
+/// the flat CsrGraph constructor — sharing no block with `prev` and no
+/// code with the splice it stands in for.
+CsrGraph BuildFromScratch(const CsrGraph& prev, const EdgeDelta* delta) {
+  const bool directed = prev.directed();
+  // Whether u -> v is the arc (or, undirected, the edge) `delta` removes.
+  const auto removed = [&](NodeId u, NodeId v) {
+    if (delta == nullptr || delta->added) return false;
+    return (u == delta->u && v == delta->v) ||
+           (!directed && u == delta->v && v == delta->u);
+  };
+  GraphBuilder builder(directed);
+  builder.SetNumNodes(prev.num_nodes() + (delta == nullptr ? 1 : 0));
+  builder.Reserve(prev.num_edges() + 1);
+  for (NodeId u = 0; u < prev.num_nodes(); ++u) {
+    for (NodeId v : prev.OutNeighbors(u)) {
+      if ((!directed && v < u) || removed(u, v)) continue;
+      builder.AddEdge(u, v);
+    }
+  }
+  if (delta != nullptr && delta->added) builder.AddEdge(delta->u, delta->v);
+  return builder.Build();
 }
 
+}  // namespace
+
+DynamicGraph::DynamicGraph(NodeId num_nodes, bool directed)
+    : DynamicGraph(CsrGraph::Empty(num_nodes, directed)) {}
+
 DynamicGraph::DynamicGraph(const CsrGraph& graph)
-    : directed_(graph.directed()), adjacency_(graph.num_nodes()) {
-  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
-    for (NodeId v : graph.OutNeighbors(u)) adjacency_[u].insert(v);
-  }
+    : directed_(graph.directed()),
+      snapshot_(std::make_shared<const VersionedCsr>(
+          VersionedCsr{0, graph.num_edges(), graph, std::nullopt})) {
   num_nodes_.store(graph.num_nodes(), std::memory_order_release);
   num_edges_.store(graph.num_edges(), std::memory_order_release);
+  snapshot_builds_.store(1, std::memory_order_release);
 }
 
 void DynamicGraph::AttachWal(WriteAheadLog* wal) {
@@ -30,24 +56,16 @@ void DynamicGraph::AttachWal(WriteAheadLog* wal) {
 
 NodeId DynamicGraph::AddNode() {
   std::lock_guard<std::mutex> lock(writer_mu_);
+  const NodeId id = snapshot_->graph.num_nodes();
   if (wal_ != nullptr) {
     // A node append cannot be rejected (no precondition can fail), so a
     // WAL that cannot take the record is fatal rather than reportable:
     // injected torn writes must target edge appends, which CAN refuse.
-    Result<uint64_t> seq = wal_->Append(
-        WalRecordKind::kAddNode, static_cast<uint32_t>(adjacency_.size()), 0);
+    Result<uint64_t> seq = wal_->Append(WalRecordKind::kAddNode, id, 0);
     PRIVREC_CHECK_OK(seq.status());
     wal_last_seq_ = *seq;
   }
-  adjacency_.emplace_back();
-  const NodeId id = static_cast<NodeId>(adjacency_.size() - 1);
-  // Version before node count: a reader that observes the new num_nodes()
-  // (acquire) is then guaranteed to observe the bumped version too, so it
-  // can never pass a bounds check against the grown graph while still
-  // trusting a pinned pre-growth snapshot.
-  version_.fetch_add(1, std::memory_order_acq_rel);
-  num_nodes_.store(static_cast<NodeId>(adjacency_.size()),
-                   std::memory_order_release);
+  PublishLocked(NextSnapshotLocked(/*delta=*/nullptr));
   // A node addition is a version bump no edge delta can describe (it
   // changes every target's candidate count); clearing the journal makes
   // any replay window crossing it OutOfRange, which routes readers onto
@@ -60,29 +78,29 @@ NodeId DynamicGraph::AddNode() {
 
 Status DynamicGraph::ValidateEndpoints(NodeId u, NodeId v) const {
   if (u == v) return Status::InvalidArgument("self-loop");
-  if (u >= adjacency_.size() || v >= adjacency_.size()) {
+  const NodeId n = snapshot_->graph.num_nodes();
+  if (u >= n || v >= n) {
     return Status::InvalidArgument("node id out of range");
   }
   return Status::OK();
 }
 
-void DynamicGraph::JournalAppendLocked(NodeId u, NodeId v, bool added) {
+void DynamicGraph::JournalAppendLocked(const EdgeDelta& delta) {
   if (journal_capacity_ == 0) {
     journal_floor_version_.store(version_.load(std::memory_order_relaxed),
                                  std::memory_order_release);
     return;
   }
-  journal_.push_back(
-      EdgeDelta{u, v, added, version_.load(std::memory_order_relaxed)});
+  journal_.push_back(delta);
   while (journal_.size() > journal_capacity_) {
     journal_.pop_front();
     journal_floor_version_.fetch_add(1, std::memory_order_acq_rel);
   }
   // Injected ring compaction (FaultPoint::kJournalCompaction): discard the
   // whole retained window as if capacity had just overflowed past it.
-  // Readers pinned below the new floor — stale cache entries, the snapshot
-  // patcher — hit the same OutOfRange fallback a production undersized
-  // journal produces, deterministically.
+  // Readers pinned below the new floor — stale cache entries — hit the
+  // same OutOfRange fallback a production undersized journal produces,
+  // deterministically.
   if (FaultInjector* injector =
           fault_injector_.load(std::memory_order_acquire)) {
     if (injector->ShouldFire(FaultPoint::kJournalCompaction)) {
@@ -95,61 +113,131 @@ void DynamicGraph::JournalAppendLocked(NodeId u, NodeId v, bool added) {
 
 Status DynamicGraph::AddEdge(NodeId u, NodeId v) {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  PRIVREC_RETURN_NOT_OK(ValidateEndpoints(u, v));
-  if (wal_ == nullptr) {
-    // No WAL: keep the single-hash-lookup hot path.
-    if (!adjacency_[u].insert(v).second) {
-      return Status::FailedPrecondition("edge already present");
-    }
-  } else {
-    // WAL-first: presence-check without mutating, make the record durable,
-    // THEN apply. A failed append (torn write, crashed log) rejects the
-    // mutation, so applied state never runs ahead of the durable log.
-    if (adjacency_[u].count(v) > 0) {
-      return Status::FailedPrecondition("edge already present");
-    }
-    PRIVREC_ASSIGN_OR_RETURN(
-        wal_last_seq_, wal_->Append(WalRecordKind::kAddEdge, u, v));
-    adjacency_[u].insert(v);
-  }
-  if (!directed_) adjacency_[v].insert(u);
-  num_edges_.fetch_add(1, std::memory_order_acq_rel);
-  version_.fetch_add(1, std::memory_order_acq_rel);
-  JournalAppendLocked(u, v, /*added=*/true);
-  return Status::OK();
+  return ToggleLocked(u, v, /*added=*/true);
 }
 
 Status DynamicGraph::RemoveEdge(NodeId u, NodeId v) {
   std::lock_guard<std::mutex> lock(writer_mu_);
+  return ToggleLocked(u, v, /*added=*/false);
+}
+
+Status DynamicGraph::ToggleLocked(NodeId u, NodeId v, bool added) {
   PRIVREC_RETURN_NOT_OK(ValidateEndpoints(u, v));
-  if (wal_ == nullptr) {
-    if (adjacency_[u].erase(v) == 0) {
-      return Status::FailedPrecondition("edge not present");
-    }
-  } else {
-    if (adjacency_[u].count(v) == 0) {
-      return Status::FailedPrecondition("edge not present");
-    }
-    PRIVREC_ASSIGN_OR_RETURN(
-        wal_last_seq_, wal_->Append(WalRecordKind::kRemoveEdge, u, v));
-    adjacency_[u].erase(v);
+  if (snapshot_->graph.HasEdge(u, v) == added) {
+    return Status::FailedPrecondition(added ? "edge already present"
+                                            : "edge not present");
   }
-  if (!directed_) adjacency_[v].erase(u);
-  num_edges_.fetch_sub(1, std::memory_order_acq_rel);
-  version_.fetch_add(1, std::memory_order_acq_rel);
-  JournalAppendLocked(u, v, /*added=*/false);
+  if (wal_ != nullptr) {
+    // WAL-first: the presence check above mutated nothing; make the record
+    // durable, THEN publish. A failed append (torn write, crashed log)
+    // rejects the mutation, so applied state never runs ahead of the log.
+    PRIVREC_ASSIGN_OR_RETURN(
+        wal_last_seq_,
+        wal_->Append(added ? WalRecordKind::kAddEdge
+                           : WalRecordKind::kRemoveEdge,
+                     u, v));
+  }
+  const EdgeDelta delta{u, v, added, snapshot_->version + 1};
+  PublishLocked(NextSnapshotLocked(&delta));
+  JournalAppendLocked(delta);
   return Status::OK();
 }
 
+std::shared_ptr<const DynamicGraph::VersionedCsr>
+DynamicGraph::NextSnapshotLocked(const EdgeDelta* delta) {
+  const VersionedCsr& prev = *snapshot_;
+  FaultInjector* injector = fault_injector_.load(std::memory_order_acquire);
+  // Each CSR takes its block-shared splice unless `fault` fires (the
+  // injected splice failure) or the splice reports an inconsistency; then
+  // it is built from scratch. Counts the route taken.
+  const auto next_csr = [&](FaultPoint fault, auto splice, auto scratch,
+                            std::atomic<uint64_t>& patches,
+                            std::atomic<uint64_t>& builds) -> CsrGraph {
+    if (injector == nullptr || !injector->ShouldFire(fault)) {
+      Result<CsrGraph> spliced = splice();
+      if (spliced.ok()) {
+        patches.fetch_add(1, std::memory_order_acq_rel);
+        return *std::move(spliced);
+      }
+    }
+    builds.fetch_add(1, std::memory_order_acq_rel);
+    return scratch();
+  };
+  // AddNode's splice: every block shared, at most one empty block added.
+  const auto with_added_node = [](CsrGraph graph) -> Result<CsrGraph> {
+    graph.AddNode();
+    return graph;
+  };
+
+  CsrGraph graph = next_csr(
+      FaultPoint::kSnapshotPatchFail,
+      [&] {
+        return delta == nullptr ? with_added_node(prev.graph)
+                                : PatchCsr(prev.graph, *delta);
+      },
+      [&] { return BuildFromScratch(prev.graph, delta); }, snapshot_patches_,
+      snapshot_builds_);
+  std::optional<CsrGraph> projected;
+  const uint32_t cap = degree_cap_.load(std::memory_order_relaxed);
+  if (cap > 0) {
+    // The projection's from-scratch route is ProjectDegreeCapped, the
+    // call SetDegreeCap makes — node-DP serving's rebuild path.
+    projected = next_csr(
+        FaultPoint::kProjectionPatchFail,
+        [&] {
+          return delta == nullptr
+                     ? with_added_node(*prev.projected)
+                     : PatchProjectedCsr(*prev.projected, graph, *delta, cap);
+        },
+        [&] { return ProjectDegreeCapped(graph, cap); }, projection_patches_,
+        projection_builds_);
+  }
+
+  const uint64_t num_edges =
+      delta == nullptr ? prev.num_edges
+                       : (delta->added ? prev.num_edges + 1
+                                       : prev.num_edges - 1);
+  auto next = std::make_shared<const VersionedCsr>(VersionedCsr{
+      prev.version + 1, num_edges, std::move(graph), std::move(projected)});
+  // Either route must materialize exactly the expected edge count; a
+  // disagreement is a splice bug, not a recoverable condition.
+  PRIVREC_CHECK_EQ(next->graph.num_edges(), next->num_edges);
+  return next;
+}
+
+void DynamicGraph::PublishLocked(std::shared_ptr<const VersionedCsr> next) {
+  {
+    std::lock_guard<std::mutex> publish_lock(snapshot_mu_);
+    snapshot_.swap(next);
+    // Stored under the publication mutex, so a reader that observes the
+    // new version() (acquire) and then takes a snapshot gets this one or
+    // a later one. Version before node count: a reader that observes the
+    // new num_nodes() also observes the bumped version, so it never
+    // passes a bounds check against the grown graph while trusting a
+    // pinned pre-growth snapshot.
+    version_.store(snapshot_->version, std::memory_order_release);
+    num_edges_.store(snapshot_->num_edges, std::memory_order_release);
+    num_nodes_.store(snapshot_->graph.num_nodes(), std::memory_order_release);
+  }
+  // `next` now holds the superseded snapshot; dropping it here (outside
+  // snapshot_mu_) frees its unshared blocks when no reader pins it.
+}
+
+std::shared_ptr<const DynamicGraph::VersionedCsr> DynamicGraph::Current()
+    const {
+  std::lock_guard<std::mutex> publish_lock(snapshot_mu_);
+  return snapshot_;
+}
+
 bool DynamicGraph::HasEdge(NodeId u, NodeId v) const {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  if (u >= adjacency_.size() || v >= adjacency_.size()) return false;
-  return adjacency_[u].count(v) > 0;
+  const std::shared_ptr<const VersionedCsr> current = Current();
+  const NodeId n = current->graph.num_nodes();
+  return u < n && v < n && current->graph.HasEdge(u, v);
 }
 
 uint32_t DynamicGraph::OutDegree(NodeId v) const {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  return static_cast<uint32_t>(adjacency_[v].size());
+  const std::shared_ptr<const VersionedCsr> current = Current();
+  return v < current->graph.num_nodes() ? current->graph.OutDegree(v) : 0;
 }
 
 Result<std::vector<EdgeDelta>> DynamicGraph::EdgeDeltasBetween(
@@ -192,173 +280,44 @@ void DynamicGraph::SetDegreeCap(uint32_t cap) {
   std::lock_guard<std::mutex> lock(writer_mu_);
   if (degree_cap_.load(std::memory_order_relaxed) == cap) return;
   degree_cap_.store(cap, std::memory_order_release);
-  // Invalidate the published snapshot so the next reader materializes one
-  // whose projected companion matches the new cap. Dropping the pointer
-  // (rather than re-projecting eagerly) keeps this O(1); the mutation-path
-  // patch refuses stale caps via VersionedCsr::degree_cap anyway.
-  std::lock_guard<std::mutex> publish_lock(snapshot_mu_);
-  snapshot_.reset();
-}
-
-std::shared_ptr<const DynamicGraph::VersionedCsr> DynamicGraph::BuildLocked()
-    const {
-  GraphBuilder builder(directed_);
-  builder.SetNumNodes(static_cast<NodeId>(adjacency_.size()));
-  builder.Reserve(num_edges_.load(std::memory_order_relaxed));
-  for (NodeId u = 0; u < adjacency_.size(); ++u) {
-    for (NodeId v : adjacency_[u]) {
-      if (!directed_ && v < u) continue;
-      builder.AddEdge(u, v);
-    }
-  }
-  CsrGraph forward = builder.Build();
+  // Republish the current state at the same version with the projection
+  // the new cap asks for, so every later mutation can splice it.
+  const VersionedCsr& current = *snapshot_;
   std::optional<CsrGraph> projected;
-  const uint32_t cap = degree_cap_.load(std::memory_order_relaxed);
   if (cap > 0) {
-    projected.emplace(ProjectDegreeCapped(forward, cap));
+    projected.emplace(ProjectDegreeCapped(current.graph, cap));
     projection_builds_.fetch_add(1, std::memory_order_acq_rel);
   }
-  auto built = std::make_shared<VersionedCsr>(
-      VersionedCsr{version_.load(std::memory_order_relaxed),
-                   num_edges_.load(std::memory_order_relaxed),
-                   std::move(forward), std::move(projected), cap});
-  snapshot_builds_.fetch_add(1, std::memory_order_acq_rel);
-  return built;
+  PublishLocked(std::make_shared<const VersionedCsr>(
+      VersionedCsr{current.version, current.num_edges, current.graph,
+                   std::move(projected)}));
 }
 
-std::shared_ptr<const DynamicGraph::VersionedCsr> DynamicGraph::TryPatchLocked(
-    const std::shared_ptr<const VersionedCsr>& prev) const {
-  if (prev == nullptr) return nullptr;
-  FaultInjector* injector = fault_injector_.load(std::memory_order_acquire);
-  // Injected splice failure (FaultPoint::kSnapshotPatchFail): behave as if
-  // PatchCsr had reported an inconsistency — null routes the caller onto
-  // the BuildLocked rebuild, the same exact fallback.
-  if (injector != nullptr &&
-      injector->ShouldFire(FaultPoint::kSnapshotPatchFail)) {
-    return nullptr;
-  }
-  // AddNode clears the journal (the window check below fails too), but the
-  // node-count comparison keeps the fallback decision independent of
-  // journal bookkeeping.
-  if (prev->graph.num_nodes() != adjacency_.size()) return nullptr;
-  const uint64_t version = version_.load(std::memory_order_relaxed);
-  if (prev->version >= version) return nullptr;
-  // One source of truth for the window index math; OutOfRange here is the
-  // compaction/AddNode fallback, so the journal capacity bounds the window.
-  // (The O(Δ) copy out of the deque is part of the patch budget.)
-  Result<std::vector<EdgeDelta>> window =
-      EdgeDeltasBetweenLocked(prev->version, version);
-  if (!window.ok()) return nullptr;
-  Result<CsrGraph> forward = PatchCsr(prev->graph, *window);
-  if (!forward.ok()) return nullptr;
-  // Projected companion: O(Δ) splice when the previous snapshot projected
-  // at the same cap, full re-projection otherwise (cap just turned on or
-  // changed — the snapshot reset in SetDegreeCap makes that path rare).
-  std::optional<CsrGraph> projected;
-  const uint32_t cap = degree_cap_.load(std::memory_order_relaxed);
-  if (cap > 0) {
-    // Injected projection-splice failure (kProjectionPatchFail): skip the
-    // PatchProjectedCsr attempt so the companion takes the full
-    // ProjectDegreeCapped re-projection below — the node-DP rebuild path.
-    const bool force_projection_rebuild =
-        injector != nullptr &&
-        injector->ShouldFire(FaultPoint::kProjectionPatchFail);
-    if (!force_projection_rebuild && prev->projected.has_value() &&
-        prev->degree_cap == cap) {
-      Result<CsrGraph> patched_projection =
-          PatchProjectedCsr(*prev->projected, *forward, *window, cap);
-      if (patched_projection.ok()) {
-        projected.emplace(*std::move(patched_projection));
-        projection_patches_.fetch_add(1, std::memory_order_acq_rel);
-      }
-    }
-    if (!projected.has_value()) {
-      projected.emplace(ProjectDegreeCapped(*forward, cap));
-      projection_builds_.fetch_add(1, std::memory_order_acq_rel);
-    }
-  }
-  auto built = std::make_shared<VersionedCsr>(
-      VersionedCsr{version, num_edges_.load(std::memory_order_relaxed),
-                   *std::move(forward), std::move(projected), cap});
-  // The patched CSR must materialize exactly the journal's idea of the
-  // current edge count; a disagreement would be a journal bug, not a
-  // recoverable condition.
-  PRIVREC_CHECK_EQ(built->graph.num_edges(), built->num_edges);
-  snapshot_patches_.fetch_add(1, std::memory_order_acq_rel);
-  return built;
+DynamicGraph::StampedSnapshot DynamicGraph::Stamp(
+    const std::shared_ptr<const VersionedCsr>& current) {
+  return StampedSnapshot{
+      std::shared_ptr<const CsrGraph>(current, &current->graph),
+      current->projected.has_value()
+          ? std::shared_ptr<const CsrGraph>(current, &*current->projected)
+          : nullptr,
+      current->version, current->num_edges};
 }
-
-namespace {
-
-DynamicGraph::StampedSnapshot MakeStamped(
-    std::shared_ptr<const void> owner, const CsrGraph* graph,
-    const CsrGraph* projected, uint64_t version, uint64_t num_edges) {
-  return DynamicGraph::StampedSnapshot{
-      std::shared_ptr<const CsrGraph>(owner, graph),
-      projected == nullptr
-          ? std::shared_ptr<const CsrGraph>()
-          : std::shared_ptr<const CsrGraph>(std::move(owner), projected),
-      version, num_edges};
-}
-
-}  // namespace
 
 DynamicGraph::StampedSnapshot DynamicGraph::VersionedSnapshot() const {
-  // Fast path: copy the published pointer under the (tiny) publication
-  // mutex and compare its stamp to the atomic version. If a mutator bumps
-  // version_ concurrently we either fall through to the rebuild or return
-  // the pre-mutation snapshot — both linearizable; the stamp and CSR can
-  // never disagree because they share one immutable allocation.
-  std::shared_ptr<const VersionedCsr> current;
-  {
-    std::lock_guard<std::mutex> publish_lock(snapshot_mu_);
-    current = snapshot_;
-  }
-  if (current != nullptr &&
-      current->version == version_.load(std::memory_order_acquire)) {
-    const CsrGraph* projected =
-        current->projected.has_value() ? &*current->projected : nullptr;
-    return MakeStamped(current, &current->graph, projected, current->version,
-                       current->num_edges);
-  }
-  // Slow path: rebuild under the writer mutex (excludes mutators, and
-  // collapses concurrent rebuilders into one build via the re-check).
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  return SnapshotWriterLocked();
+  return Stamp(Current());
 }
 
-DynamicGraph::StampedSnapshot DynamicGraph::SnapshotWriterLocked() const {
-  std::shared_ptr<const VersionedCsr> current;
-  {
-    std::lock_guard<std::mutex> publish_lock(snapshot_mu_);
-    current = snapshot_;
-  }
-  if (current == nullptr ||
-      current->version != version_.load(std::memory_order_acquire)) {
-    // O(Δ) journal splice into the previous published CSR when possible;
-    // from-scratch rebuild otherwise (first snapshot, AddNode, compacted
-    // window).
-    auto patched = TryPatchLocked(current);
-    current = patched != nullptr ? std::move(patched) : BuildLocked();
-    std::lock_guard<std::mutex> publish_lock(snapshot_mu_);
-    snapshot_ = current;
-  }
-  const CsrGraph* projected =
-      current->projected.has_value() ? &*current->projected : nullptr;
-  return MakeStamped(current, &current->graph, projected, current->version,
-                     current->num_edges);
-}
-
-DynamicGraph::CheckpointView DynamicGraph::AtomicCheckpointView() const {
-  // Writer mutex held across BOTH the snapshot materialization and the
+Result<DynamicGraph::CheckpointView> DynamicGraph::AtomicCheckpointView()
+    const {
+  // Writer mutex held across the WAL sync, the snapshot read and the
   // WAL-position read: no mutation can land between them, so the pair is
   // exact — the snapshot is the graph state immediately after WAL record
-  // wal_seq.
+  // wal_seq — and wal_seq is durable even under group commit.
   std::lock_guard<std::mutex> lock(writer_mu_);
-  CheckpointView view;
-  view.snapshot = SnapshotWriterLocked();
-  view.wal_seq = wal_last_seq_;
-  return view;
+  if (wal_ != nullptr) {
+    PRIVREC_RETURN_NOT_OK(wal_->Sync());
+  }
+  return CheckpointView{Stamp(snapshot_), wal_last_seq_};
 }
 
 }  // namespace privrec

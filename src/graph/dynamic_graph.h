@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -19,11 +18,12 @@ namespace privrec {
 
 class WriteAheadLog;  // persist/wal.h
 
-/// Mutable adjacency-set graph for the dynamic-network setting the paper
-/// flags as future work (Section 8: "Social networks clearly change over
-/// time (and rather rapidly)"). Supports O(1) expected edge insertion,
-/// deletion, and membership, and snapshots to the immutable CsrGraph all
-/// analysis code consumes.
+/// Mutable graph for the dynamic-network setting the paper flags as future
+/// work (Section 8: "Social networks clearly change over time (and rather
+/// rapidly)"). Its state IS its latest published snapshot: every
+/// successful mutation splices itself into that immutable CsrGraph and
+/// publishes the result before it returns, and point reads (HasEdge,
+/// OutDegree) query the same snapshot.
 ///
 /// The privacy story for dynamic graphs is subtle (each re-released
 /// recommendation spends budget — see PrivacyAccountant); this class only
@@ -31,38 +31,35 @@ class WriteAheadLog;  // persist/wal.h
 ///
 /// Thread safety (RCU-style snapshot publication):
 ///  - All methods are safe to call concurrently from any thread.
-///  - Mutations (AddNode, AddEdge, RemoveEdge) and point reads
-///    (HasEdge, OutDegree) serialize on a small internal writer mutex;
-///    version() is an atomic stamp bumped inside that critical section.
-///  - SharedSnapshot()/VersionedSnapshot() never block behind a CSR
-///    rebuild that is already current: the published pointer is handed
-///    off under a tiny publication mutex whose critical section is one
-///    shared_ptr copy. (A hand-off mutex instead of
-///    std::atomic<std::shared_ptr>: libstdc++'s _Sp_atomic releases its
-///    read-side spinlock with a relaxed RMW, which ThreadSanitizer —
-///    correctly, per the memory model — refuses to treat as a
-///    happens-before edge. The mutex is just as cheap uncontended and
-///    sanitizer-provable.) Callers that need a truly contention-free
-///    steady state pin the snapshot locally and revalidate against the
-///    atomic version() stamp — one relaxed-cost atomic load per request,
-///    no lock, no shared refcount traffic; that is what the sharded
-///    RecommendationService does per shard.
-///  - After a mutation, the first reader to ask materializes the next
-///    snapshot under the writer mutex (which also excludes concurrent
-///    mutators) and publishes the new version; the publication-mutex
-///    re-check collapses concurrent materializers into one. Whenever the
-///    edge-delta journal covers the window since the previous published
-///    snapshot, materialization is an O(Δ) splice of that window into the
-///    previous immutable CSR (graph/csr_patch.h) rather than an O(n+m)
-///    rebuild from the adjacency sets; the journal capacity bounds that
-///    window. AddNode, journal compaction (or journaling off, capacity 0)
-///    or a splice inconsistency fall back to the full rebuild.
-///    snapshot_patches() / snapshot_builds() count the two paths.
+///  - Mutations (AddNode, AddEdge, RemoveEdge) serialize on a writer
+///    mutex. Each one builds the next snapshot under it — a block-shared
+///    splice of its toggle into the current CSR (graph/csr_patch.h) that
+///    copies the top level of the block table and rebuilds at most the two
+///    endpoints' blocks — and publishes it by swapping one pointer under a tiny
+///    publication mutex, bumping version() and the counts in the same
+///    critical section. snapshot_patches() / snapshot_builds() count the
+///    splice and the from-scratch route (the initial snapshot and the
+///    injected kSnapshotPatchFail); every successful mutation adds exactly
+///    one to their sum before it returns, so read-your-writes holds.
+///  - SharedSnapshot()/VersionedSnapshot() are one shared_ptr copy under
+///    the publication mutex; no reader ever builds. (A hand-off mutex
+///    instead of std::atomic<std::shared_ptr>: libstdc++'s _Sp_atomic
+///    releases its read-side spinlock with a relaxed RMW, which
+///    ThreadSanitizer — correctly, per the memory model — refuses to treat
+///    as a happens-before edge. The mutex is just as cheap uncontended and
+///    sanitizer-provable.) A reader that observes version() >= V and then
+///    takes a snapshot gets one stamped >= V. Callers that need a truly
+///    contention-free steady state pin the snapshot locally and revalidate
+///    against the atomic version() stamp — one relaxed-cost atomic load
+///    per request, no lock, no shared refcount traffic; that is what the
+///    sharded RecommendationService does per shard.
 ///  - A published snapshot is immutable and stamped with the graph
 ///    version (and edge count) it was built at; the stamp and the CSR are
 ///    one allocation, so a reader can never observe a "torn" pair.
 ///  - Snapshots taken before a mutation remain valid and unchanged
-///    afterwards; hold them as long as you like.
+///    afterwards; hold them as long as you like. A held snapshot shares
+///    every block its successors did not rewrite, so it pins only the
+///    blocks rewritten since (at most two per toggle) plus its table.
 ///
 /// Incremental maintenance (see README "Incremental maintenance"):
 ///  - Every AddEdge/RemoveEdge is appended to an edge-delta journal — a
@@ -73,9 +70,10 @@ class WriteAheadLog;  // persist/wal.h
 ///    a non-edge version bump (AddNode clears the journal: a new node
 ///    changes every target's candidate count, which no edge delta
 ///    describes). Callers — the keep-or-recompute serving cache — fall
-///    back to full recomputation on that error.
-///  - The journal is guarded by the writer mutex like the adjacency
-///    itself; all its accessors are safe from any thread.
+///    back to full recomputation on that error. The journal serves cache
+///    repair only; snapshot publication never reads it.
+///  - The journal is guarded by the writer mutex; all its accessors are
+///    safe from any thread.
 class DynamicGraph {
  public:
   /// An immutable CSR snapshot together with the graph version it
@@ -104,7 +102,8 @@ class DynamicGraph {
   /// Empty graph on num_nodes nodes.
   DynamicGraph(NodeId num_nodes, bool directed);
 
-  /// Imports an existing snapshot.
+  /// Imports an existing CSR as the initial snapshot, sharing its blocks
+  /// (a copy of the table's top level, no per-arc work).
   explicit DynamicGraph(const CsrGraph& graph);
 
   NodeId num_nodes() const {
@@ -125,6 +124,7 @@ class DynamicGraph {
   /// Removes edge u->v. FailedPrecondition if absent.
   Status RemoveEdge(NodeId u, NodeId v);
 
+  /// Point reads against the current snapshot (false / 0 out of range).
   bool HasEdge(NodeId u, NodeId v) const;
 
   uint32_t OutDegree(NodeId v) const;
@@ -148,7 +148,7 @@ class DynamicGraph {
   /// Caps the number of retained journal entries (older deltas are
   /// compacted away; 0 disables journaling entirely, forcing every
   /// EdgeDeltasBetween onto the OutOfRange fallback). Takes effect
-  /// immediately.
+  /// immediately. Affects cache repair only, never publication.
   void SetJournalCapacity(size_t capacity);
 
   /// Versions currently replayable: EdgeDeltasBetween(v0, version()) is OK
@@ -161,12 +161,10 @@ class DynamicGraph {
     return journal_floor_version_.load(std::memory_order_acquire);
   }
 
-  /// The cached immutable CSR snapshot of the current state. On an
-  /// unmutated graph this is one shared_ptr copy under the publication
-  /// mutex; the CSR is rebuilt (under the writer mutex) by the first
-  /// caller after a mutation. See the class comment for the publication
-  /// protocol and the version()-revalidation pattern for lock-free
-  /// steady-state callers.
+  /// The immutable CSR snapshot of the current state: one shared_ptr copy
+  /// under the publication mutex. See the class comment for the
+  /// publication protocol and the version()-revalidation pattern for
+  /// lock-free steady-state callers.
   std::shared_ptr<const CsrGraph> SharedSnapshot() const {
     return VersionedSnapshot().graph;
   }
@@ -176,36 +174,36 @@ class DynamicGraph {
   /// "utilities and sensitivity from the same graph state" key off it.
   StampedSnapshot VersionedSnapshot() const;
 
-  /// Materializes the current state as an owned CSR copy. Prefer
-  /// SharedSnapshot(): this exists for callers that need an independent
-  /// mutable-lifetime copy and costs a full graph copy per call.
+  /// The current state as an owned CsrGraph value. It copies the top
+  /// level of the block table and shares the blocks; prefer
+  /// SharedSnapshot() unless the caller needs a value.
   CsrGraph Snapshot() const { return *SharedSnapshot(); }
 
-  /// Number of times a CSR snapshot was materialized from scratch
-  /// (GraphBuilder over the adjacency sets). Observable so tests and
-  /// monitoring can assert that serving does not rebuild snapshots on
-  /// unmutated graphs — and, since journal-driven patching landed, that
-  /// the mutation path does not rebuild them either (it patches; see
-  /// snapshot_patches()). Every snapshot materialization lands in exactly
-  /// one of snapshot_builds() or snapshot_patches().
+  /// Number of snapshots published from scratch — the flat CsrGraph
+  /// constructor, sharing no block with their predecessor: the initial
+  /// snapshot, and each mutation whose splice failed (in practice only an
+  /// injected kSnapshotPatchFail). Every published snapshot lands in
+  /// exactly one of snapshot_builds() or snapshot_patches(), and every
+  /// successful mutation publishes exactly one, before it returns.
   uint64_t snapshot_builds() const {
     return snapshot_builds_.load(std::memory_order_acquire);
   }
 
-  /// Number of times a snapshot was produced by splicing the journal
-  /// window into the previous published CSR (graph/csr_patch.h) instead
-  /// of rebuilding — the O(Δ) mutation-path publication.
+  /// Number of snapshots published as a block-shared splice of one
+  /// mutation into the previous snapshot (graph/csr_patch.h; an AddNode
+  /// shares every block and appends at most an empty one).
   uint64_t snapshot_patches() const {
     return snapshot_patches_.load(std::memory_order_acquire);
   }
 
   /// Enables (cap > 0) or disables (cap == 0) the degree-capped projected
-  /// companion: subsequent snapshots carry StampedSnapshot::projected ==
-  /// ProjectDegreeCapped(graph, cap), maintained O(Δ) on the mutation path
-  /// alongside PatchCsr (PatchProjectedCsr re-derives only the delta
-  /// endpoints' kept prefixes). Changing the cap invalidates the published
-  /// snapshot, so the next reader materializes a fresh pair; previously
-  /// pinned snapshots keep their old (or absent) projection.
+  /// companion: snapshots carry StampedSnapshot::projected ==
+  /// ProjectDegreeCapped(graph, cap). Changing the cap projects the
+  /// current snapshot at once and republishes it at the same version;
+  /// each later mutation keeps the projection current alongside PatchCsr
+  /// (PatchProjectedCsr re-derives only the toggle endpoints' kept
+  /// prefixes). Previously pinned snapshots keep their old (or absent)
+  /// projection.
   void SetDegreeCap(uint32_t cap);
 
   /// The active projection cap (0 = no projected companion).
@@ -213,9 +211,10 @@ class DynamicGraph {
     return degree_cap_.load(std::memory_order_acquire);
   }
 
-  /// Number of from-scratch ProjectDegreeCapped materializations /
-  /// O(Δ) PatchProjectedCsr splices, mirroring snapshot_builds() /
-  /// snapshot_patches() for the projected companion.
+  /// Number of from-scratch ProjectDegreeCapped projections (SetDegreeCap,
+  /// injected kProjectionPatchFail) / block-shared PatchProjectedCsr
+  /// splices, mirroring snapshot_builds() / snapshot_patches() for the
+  /// projected companion.
   uint64_t projection_builds() const {
     return projection_builds_.load(std::memory_order_acquire);
   }
@@ -226,8 +225,8 @@ class DynamicGraph {
   /// Installs (or, with nullptr, removes) the deterministic fault injector
   /// whose graph-layer points this class evaluates
   /// (serve/fault_injection.h): kJournalCompaction after each journal
-  /// append, kSnapshotPatchFail / kProjectionPatchFail inside
-  /// TryPatchLocked. The injector is not owned and must outlive its
+  /// append, kSnapshotPatchFail / kProjectionPatchFail once per mutation's
+  /// publication. The injector is not owned and must outlive its
   /// installation; when none is installed every hook site costs one
   /// relaxed atomic pointer load. RecommendationService installs its
   /// ServiceOptions::fault_injector here automatically.
@@ -249,33 +248,54 @@ class DynamicGraph {
   /// A mutually consistent (snapshot, WAL position) pair for
   /// checkpointing: the snapshot materializes exactly the state after the
   /// WAL record `wal_seq`, taken atomically under the writer mutex so no
-  /// mutation can slip between the two. wal_seq is 0 when no WAL is
-  /// attached.
+  /// mutation can slip between the two. The attached WAL is synced under
+  /// the same mutex first, so wal_seq is always durable (a checkpoint
+  /// manifest never claims a record a crash could still lose); the sync's
+  /// error, if any, is returned. wal_seq is 0 when no WAL is attached.
   struct CheckpointView {
     StampedSnapshot snapshot;
     uint64_t wal_seq = 0;
   };
-  CheckpointView AtomicCheckpointView() const;
+  Result<CheckpointView> AtomicCheckpointView() const;
 
  private:
-  /// The unit the atomic pointer publishes: stamp + CSR (+ projection) in
-  /// one immutable allocation.
+  /// The unit the publication mutex hands off: stamp + CSR (+ projection)
+  /// in one immutable allocation.
   struct VersionedCsr {
     uint64_t version;
     uint64_t num_edges;
     CsrGraph graph;
     /// Degree-capped projection of `graph`; engaged iff degree_cap > 0.
     std::optional<CsrGraph> projected;
-    /// The cap `projected` was derived at (0 = no projection). Recorded so
-    /// TryPatchLocked refuses to splice across a cap change.
-    uint32_t degree_cap = 0;
   };
 
   Status ValidateEndpoints(NodeId u, NodeId v) const;
 
+  /// Body of AddEdge/RemoveEdge. Caller must hold writer_mu_.
+  Status ToggleLocked(NodeId u, NodeId v, bool added);
+
+  /// Builds the successor of the current snapshot for the toggle `delta`,
+  /// or for an AddNode when `delta` is null: a block-shared splice, or a
+  /// from-scratch build when kSnapshotPatchFail fires; the projection
+  /// follows at the same cap. Caller must hold writer_mu_.
+  std::shared_ptr<const VersionedCsr> NextSnapshotLocked(
+      const EdgeDelta* delta);
+
+  /// Swaps `next` in as the current snapshot and stores its version and
+  /// counts, all under snapshot_mu_; the superseded snapshot is released
+  /// after the lock drops. Caller must hold writer_mu_.
+  void PublishLocked(std::shared_ptr<const VersionedCsr> next);
+
+  /// The current snapshot (one shared_ptr copy under snapshot_mu_).
+  std::shared_ptr<const VersionedCsr> Current() const;
+
+  /// The public view of `current`: aliasing pointers into its allocation.
+  static StampedSnapshot Stamp(
+      const std::shared_ptr<const VersionedCsr>& current);
+
   /// Appends one toggle to the journal and compacts to capacity. Caller
-  /// must hold writer_mu_ and have already bumped version_.
-  void JournalAppendLocked(NodeId u, NodeId v, bool added);
+  /// must hold writer_mu_ and have already published the toggle.
+  void JournalAppendLocked(const EdgeDelta& delta);
 
   /// Core of EdgeDeltasBetween — the one place that knows the journal's
   /// index math (entry i carries version journal_floor_version_ + i + 1).
@@ -283,46 +303,25 @@ class DynamicGraph {
   Result<std::vector<EdgeDelta>> EdgeDeltasBetweenLocked(
       uint64_t from_version, uint64_t to_version) const;
 
-  /// Builds the CSR for the current adjacency state. Caller must hold
-  /// writer_mu_.
-  std::shared_ptr<const VersionedCsr> BuildLocked() const;
-
-  /// Attempts the O(Δ) publication path: splice the journal window
-  /// (prev->version, version()] into `prev` via PatchCsr.
-  /// Returns null — caller falls back to BuildLocked() — when `prev` is
-  /// null, the node count moved (AddNode), the journal was compacted past
-  /// prev->version (or journaling is off), or the splice reports an
-  /// inconsistency. Caller must hold writer_mu_.
-  std::shared_ptr<const VersionedCsr> TryPatchLocked(
-      const std::shared_ptr<const VersionedCsr>& prev) const;
-
-  /// The snapshot slow path factored out so AtomicCheckpointView can run
-  /// it while already holding writer_mu_: re-checks the published
-  /// pointer, patches or rebuilds, publishes, and returns the stamped
-  /// view. Caller must hold writer_mu_.
-  StampedSnapshot SnapshotWriterLocked() const;
-
   bool directed_;
   std::atomic<NodeId> num_nodes_{0};
   std::atomic<uint64_t> num_edges_{0};
   std::atomic<uint64_t> version_{0};
 
-  /// Serializes mutators with each other and with snapshot rebuilds.
-  /// Never taken by snapshot readers whose version is already published.
+  /// Serializes mutators with each other; never taken by snapshot readers.
   mutable std::mutex writer_mu_;
-  std::vector<std::unordered_set<NodeId>> adjacency_;
 
   /// Edge-delta journal (guarded by writer_mu_): consecutive-version
   /// toggles with journal_floor_version_ the stamp just before the oldest
-  /// retained entry. Invariant: journal_floor_version_ + journal_.size()
-  /// == version_. The floor is atomic so monitoring and the serving
-  /// cache's eviction heuristic can read it without the writer mutex;
-  /// writes still happen only under writer_mu_.
+  /// retained entry. Invariant (whenever writer_mu_ is free):
+  /// journal_floor_version_ + journal_.size() == version_. The floor is
+  /// atomic so monitoring and the serving cache's eviction heuristic can
+  /// read it without the writer mutex; writes still happen only under
+  /// writer_mu_.
   std::deque<EdgeDelta> journal_;
-  /// Write-ahead log (guarded by writer_mu_ like the adjacency): null
-  /// until AttachWal; wal_last_seq_ is the sequence of the last record
-  /// this graph appended — the WAL position AtomicCheckpointView pairs
-  /// with its snapshot.
+  /// Write-ahead log (guarded by writer_mu_): null until AttachWal;
+  /// wal_last_seq_ is the sequence of the last record this graph appended
+  /// — the WAL position AtomicCheckpointView pairs with its snapshot.
   WriteAheadLog* wal_ = nullptr;
   uint64_t wal_last_seq_ = 0;
   std::atomic<uint64_t> journal_floor_version_{0};
@@ -335,14 +334,16 @@ class DynamicGraph {
   std::atomic<uint32_t> degree_cap_{0};
 
   /// Publication point: guards only the pointer hand-off (one shared_ptr
-  /// copy). Lock order: writer_mu_ before snapshot_mu_; mutators never
-  /// take snapshot_mu_.
+  /// copy or swap). Lock order: writer_mu_ before snapshot_mu_. The
+  /// pointer is written only under both, so a mutator holding writer_mu_
+  /// reads it without snapshot_mu_: the current snapshot is the master
+  /// copy of the graph.
   mutable std::mutex snapshot_mu_;
-  mutable std::shared_ptr<const VersionedCsr> snapshot_;  // null until asked
-  mutable std::atomic<uint64_t> snapshot_builds_{0};
-  mutable std::atomic<uint64_t> snapshot_patches_{0};
-  mutable std::atomic<uint64_t> projection_builds_{0};
-  mutable std::atomic<uint64_t> projection_patches_{0};
+  std::shared_ptr<const VersionedCsr> snapshot_;
+  std::atomic<uint64_t> snapshot_builds_{0};
+  std::atomic<uint64_t> snapshot_patches_{0};
+  std::atomic<uint64_t> projection_builds_{0};
+  std::atomic<uint64_t> projection_patches_{0};
 };
 
 }  // namespace privrec

@@ -15,13 +15,14 @@ namespace privrec {
 /// has — faults never invent behavior, they only make the rare path the
 /// taken path, deterministically, so tests and audits can pin it down:
 ///  - kJournalCompaction: after a mutation's journal append, compact the
-///    ring all the way to the current version. Every reader pinned below
-///    it (stale cache entries, the snapshot patcher) then sees OutOfRange
-///    and takes the full-recompute / full-rebuild fallback — the
-///    "journal undersized under a pinned window" production incident.
-///  - kSnapshotPatchFail: DynamicGraph::TryPatchLocked returns null as if
-///    the PatchCsr splice had reported an inconsistency, so snapshot
-///    publication takes the from-scratch BuildLocked path.
+///    ring all the way to the current version. Every stale cache entry
+///    pinned below it then sees OutOfRange and takes the full-recompute
+///    fallback — the "journal undersized under a pinned window" production
+///    incident.
+///  - kSnapshotPatchFail: a mutation's publication skips the block-shared
+///    PatchCsr splice as if it had reported an inconsistency, and publishes
+///    a snapshot built from scratch (the flat CsrGraph constructor, sharing
+///    no block; counted in DynamicGraph::snapshot_builds()).
 ///  - kProjectionPatchFail: the PatchProjectedCsr splice of the
 ///    degree-capped companion is skipped, forcing a full
 ///    ProjectDegreeCapped re-projection (node-DP serving's rebuild path).

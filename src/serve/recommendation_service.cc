@@ -654,10 +654,13 @@ Result<TopKResult> RecommendationService::ServeListForAudit(NodeId user,
 }
 
 Status RecommendationService::AddEdge(NodeId u, NodeId v) {
-  // O(1): the journal records the toggle; stale entries are repaired
-  // lazily per shard (see RepairEntryLocked). A shard that never serves
-  // again keeps its pre-mutation pinned CSR alive — bounded at one
-  // snapshot per shard, the price of sweep-free mutations.
+  // The graph publishes the toggle as a block-shared snapshot before this
+  // returns and journals it; stale entries are repaired lazily per shard
+  // (see RepairEntryLocked). A shard that never serves again keeps its
+  // pre-mutation pinned snapshot alive, but that snapshot shares every
+  // block the later toggles did not rewrite: it pins its table's top
+  // level plus at most two blocks (and their chunks) per toggle since —
+  // the price of sweep-free mutations.
   return graph_->AddEdge(u, v);
 }
 
@@ -670,10 +673,11 @@ Status RecommendationService::SaveCheckpoint(const std::string& dir) {
     return Status::FailedPrecondition(
         "SaveCheckpoint requires ServiceOptions::wal");
   }
-  // Flush first so AtomicCheckpointView's wal_seq is a DURABLE seq: the
-  // manifest must never claim coverage past what the WAL fsynced.
-  PRIVREC_RETURN_NOT_OK(options_.wal->Sync());
-  const DynamicGraph::CheckpointView view = graph_->AtomicCheckpointView();
+  // The view syncs the WAL under the graph's writer mutex before it reads
+  // the WAL position, so wal_seq is DURABLE: the manifest never claims
+  // coverage past what the WAL fsynced, even under group commit.
+  PRIVREC_ASSIGN_OR_RETURN(const DynamicGraph::CheckpointView view,
+                           graph_->AtomicCheckpointView());
   PRIVREC_RETURN_NOT_OK(WriteCheckpoint(dir, *view.snapshot.graph,
                                         view.wal_seq, view.snapshot.version,
                                         options_.fault_injector));

@@ -343,13 +343,13 @@ class RecommendationService {
 
   /// Writes a crash-consistent checkpoint of the current graph state to
   /// `dir` and prunes the durable journals behind it:
-  ///  1. flush + fsync the WAL (group-commit buffer included),
-  ///  2. atomically capture {snapshot, last WAL seq} under the graph's
-  ///     writer lock (DynamicGraph::AtomicCheckpointView — no mutation can
-  ///     land between the snapshot and the recorded seq),
-  ///  3. write the graph file + manifest durably (tmp + fsync + rename;
+  ///  1. under the graph's writer lock (DynamicGraph::AtomicCheckpointView
+  ///     — no mutation can land in between), flush + fsync the WAL
+  ///     (group-commit buffer included) and capture {snapshot, last WAL
+  ///     seq}, so the recorded seq is durable,
+  ///  2. write the graph file + manifest durably (tmp + fsync + rename;
   ///     the manifest rename is the commit point),
-  ///  4. truncate fully-covered WAL segments and compact the budget
+  ///  3. truncate fully-covered WAL segments and compact the budget
   ///     ledger.
   /// Requires ServiceOptions::wal. On any failure the previous checkpoint
   /// (or none) stays authoritative — recovery just replays a longer WAL

@@ -12,11 +12,14 @@
 #include <cmath>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/statistics.h"
 #include "core/exponential_mechanism.h"
 #include "core/privacy_accountant.h"
@@ -37,6 +40,17 @@ DynamicGraph StressGraph(uint64_t seed = 5) {
   auto weights = PowerLawWeights(kStressNodes, 2.2);
   auto g = ChungLu(weights, weights, 1500, /*directed=*/false, rng);
   return DynamicGraph(*g);
+}
+
+/// Order-sensitive digest of every out-list of `graph`.
+uint64_t ListsDigest(const CsrGraph& graph) {
+  uint64_t digest = graph.num_nodes();
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    const std::span<const NodeId> list = graph.OutNeighbors(v);
+    digest = (digest * 1099511628211ULL) ^ list.size() ^
+             ChecksumBytes(list.data(), list.size() * sizeof(NodeId));
+  }
+  return digest;
 }
 
 ServiceOptions StressOptions() {
@@ -185,6 +199,7 @@ TEST(ConcurrentServiceTest, SnapshotsAreNeverTorn) {
   std::atomic<unsigned> readers_started{0};
   std::atomic<unsigned> mutators_done{0};
   std::atomic<uint64_t> snapshots_checked{0};
+  std::atomic<uint64_t> pinned_checked{0};
   RunWorkers(kMutators + kReaders, [&](unsigned w) {
     if (w < kMutators) {
       while (readers_started.load(std::memory_order_acquire) < kReaders) {
@@ -206,9 +221,14 @@ TEST(ConcurrentServiceTest, SnapshotsAreNeverTorn) {
     }
     // Reader: the published (stamp, CSR) pair must always be internally
     // consistent — the stamp's edge count is the CSR's edge count, and the
-    // version/edge-count stamps advance monotonically per reader.
+    // version/edge-count stamps advance monotonically per reader. Some
+    // snapshots stay pinned with their digest: they share blocks with
+    // everything published after them, so a splice that wrote into a
+    // shared block would change them under the reader.
     uint64_t last_version = 0;
     bool started = false;
+    std::vector<std::pair<DynamicGraph::StampedSnapshot, uint64_t>> pinned;
+    uint64_t reads = 0;
     do {
       DynamicGraph::StampedSnapshot snap = graph.VersionedSnapshot();
       // Announced before the checks, so a failing one cannot leave the
@@ -223,10 +243,21 @@ TEST(ConcurrentServiceTest, SnapshotsAreNeverTorn) {
       ASSERT_GE(snap.version, last_version) << "snapshot went backwards";
       ASSERT_LE(snap.version, graph.version());
       last_version = snap.version;
+      if (reads++ % 64 == 0 && pinned.size() < 32) {
+        const uint64_t digest = ListsDigest(*snap.graph);
+        pinned.emplace_back(std::move(snap), digest);
+      }
       snapshots_checked.fetch_add(1);
     } while (mutators_done.load(std::memory_order_acquire) < kMutators);
+    for (const auto& [snap, digest] : pinned) {
+      EXPECT_EQ(ListsDigest(*snap.graph), digest)
+          << "pinned snapshot at version " << snap.version
+          << " changed after later publications";
+    }
+    pinned_checked.fetch_add(pinned.size());
   });
   EXPECT_GT(snapshots_checked.load(), 0u);
+  EXPECT_GT(pinned_checked.load(), 0u);
 }
 
 TEST(ConcurrentServiceTest, SnapshotFastPathTakesNoLockAndNoRebuild) {

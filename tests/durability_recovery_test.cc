@@ -431,9 +431,10 @@ TEST(RecoveryTest, CheckpointPlusReplayReconstructsTheGraphExactly) {
   ASSERT_TRUE(graph.AddEdge(1, 5).ok());
   // Checkpoint here; everything after must come from WAL replay.
   ASSERT_TRUE((*wal)->Sync().ok());
-  const DynamicGraph::CheckpointView view = graph.AtomicCheckpointView();
-  ASSERT_TRUE(WriteCheckpoint(dir, *view.snapshot.graph, view.wal_seq,
-                              view.snapshot.version)
+  const auto view = graph.AtomicCheckpointView();
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  ASSERT_TRUE(WriteCheckpoint(dir, *view->snapshot.graph, view->wal_seq,
+                              view->snapshot.version)
                   .ok());
   const NodeId added = graph.AddNode();
   ASSERT_TRUE(graph.AddEdge(added, 0).ok());
@@ -444,7 +445,7 @@ TEST(RecoveryTest, CheckpointPlusReplayReconstructsTheGraphExactly) {
   auto recovered = RecoverGraph(dir, **wal, &report);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_TRUE(report.checkpoint_found);
-  EXPECT_EQ(report.manifest.wal_seq, view.wal_seq);
+  EXPECT_EQ(report.manifest.wal_seq, view->wal_seq);
   EXPECT_EQ(report.replayed_records, 3u);  // AddNode + 2 edges
   const auto want = graph.VersionedSnapshot();
   const auto got = (*recovered)->VersionedSnapshot();
@@ -455,6 +456,66 @@ TEST(RecoveryTest, CheckpointPlusReplayReconstructsTheGraphExactly) {
       EXPECT_TRUE(got.graph->HasEdge(u, v)) << u << "->" << v;
     }
   }
+}
+
+TEST(RecoveryTest, CheckpointViewClaimsOnlyDurableWalRecords) {
+  // Under group commit a mutation's record sits in the WAL buffer after
+  // the mutation returns. The checkpoint view syncs it under the writer
+  // mutex, so the seq it pairs with its snapshot is always durable.
+  const std::string dir = FreshDir("recovery_view_durable");
+  WalOptions wal_options;
+  wal_options.group_commit_records = 64;
+  auto wal = WriteAheadLog::Open(dir + "/wal", wal_options);
+  ASSERT_TRUE(wal.ok());
+  DynamicGraph graph(8, /*directed=*/true);
+  graph.AttachWal(wal->get());
+  ASSERT_TRUE(graph.AddEdge(1, 2).ok());
+  ASSERT_EQ((*wal)->durable_seq(), 0u);  // still buffered
+  const auto view = graph.AtomicCheckpointView();
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_EQ(view->wal_seq, 1u);
+  EXPECT_LE(view->wal_seq, (*wal)->durable_seq());
+  EXPECT_TRUE(view->snapshot.graph->HasEdge(1, 2));
+}
+
+TEST(RecoveryTest, SecondCrashKeepsAMutationAppendedAfterACheckpoint) {
+  // A checkpoint taken over a buffered record, then a crash: recovery
+  // must not reopen the WAL one seq short of the manifest, or the next
+  // mutation reuses that seq and a second recovery skips it although it
+  // was fsync'd.
+  const std::string dir = FreshDir("recovery_two_crashes");
+  WalOptions wal_options;
+  wal_options.group_commit_records = 64;
+  {
+    auto wal = WriteAheadLog::Open(dir + "/wal", wal_options);
+    ASSERT_TRUE(wal.ok());
+    DynamicGraph graph(8, /*directed=*/true);
+    graph.AttachWal(wal->get());
+    ASSERT_TRUE((*wal)->Sync().ok());
+    ASSERT_TRUE(graph.AddEdge(1, 2).ok());
+    const auto view = graph.AtomicCheckpointView();
+    ASSERT_TRUE(view.ok());
+    ASSERT_TRUE(WriteCheckpoint(dir, *view->snapshot.graph, view->wal_seq,
+                                view->snapshot.version)
+                    .ok());
+    (*wal)->SimulateCrash();
+  }
+  {  // first recovery, then one synced mutation
+    auto wal = WriteAheadLog::Open(dir + "/wal", wal_options);
+    ASSERT_TRUE(wal.ok());
+    auto graph = RecoverGraph(dir, **wal);
+    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+    (*graph)->AttachWal(wal->get());
+    ASSERT_TRUE((*graph)->AddEdge(3, 4).ok());
+    ASSERT_TRUE((*wal)->Sync().ok());
+    (*wal)->SimulateCrash();
+  }
+  auto wal = WriteAheadLog::Open(dir + "/wal", wal_options);
+  ASSERT_TRUE(wal.ok());
+  auto graph = RecoverGraph(dir, **wal);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  EXPECT_TRUE((*graph)->HasEdge(1, 2));
+  EXPECT_TRUE((*graph)->HasEdge(3, 4)) << "an fsync'd mutation was lost";
 }
 
 TEST(RecoveryTest, NoManifestIsFailedPreconditionNotACrash) {
@@ -472,8 +533,9 @@ TEST(RecoveryTest, InjectedCheckpointCrashLeavesThePreviousOneAuthoritative) {
   graph.AttachWal(wal->get());
   {  // checkpoint 1 commits
     const auto view = graph.AtomicCheckpointView();
-    ASSERT_TRUE(WriteCheckpoint(dir, *view.snapshot.graph, view.wal_seq,
-                                view.snapshot.version)
+    ASSERT_TRUE(view.ok());
+    ASSERT_TRUE(WriteCheckpoint(dir, *view->snapshot.graph, view->wal_seq,
+                                view->snapshot.version)
                     .ok());
   }
   ASSERT_TRUE(graph.AddEdge(0, 5).ok());
@@ -484,9 +546,10 @@ TEST(RecoveryTest, InjectedCheckpointCrashLeavesThePreviousOneAuthoritative) {
   injector.Install(plan);
   {  // checkpoint 2 dies before the manifest rename
     const auto view = graph.AtomicCheckpointView();
-    const Status crashed = WriteCheckpoint(dir, *view.snapshot.graph,
-                                           view.wal_seq,
-                                           view.snapshot.version, &injector);
+    ASSERT_TRUE(view.ok());
+    const Status crashed = WriteCheckpoint(dir, *view->snapshot.graph,
+                                           view->wal_seq,
+                                           view->snapshot.version, &injector);
     ASSERT_FALSE(crashed.ok());
     EXPECT_TRUE(crashed.IsIOError());
     EXPECT_EQ(injector.fires(FaultPoint::kCheckpointCrash), 1u);
@@ -624,8 +687,9 @@ TEST(CrashRecoverDifferentialTest, TornWalWriteNeverLetsAppliedStateRunAhead) {
   graph->AttachWal(wal->get());
   {
     const auto view = graph->AtomicCheckpointView();
-    ASSERT_TRUE(WriteCheckpoint(dir, *view.snapshot.graph, view.wal_seq,
-                                view.snapshot.version)
+    ASSERT_TRUE(view.ok());
+    ASSERT_TRUE(WriteCheckpoint(dir, *view->snapshot.graph, view->wal_seq,
+                                view->snapshot.version)
                     .ok());
   }
   ASSERT_TRUE(graph->AddEdge(0, 5).ok());

@@ -17,6 +17,7 @@
 
 #include "gen/fixtures.h"
 #include "gen/generators.h"
+#include "graph/degree_cap.h"
 #include "graph/dynamic_graph.h"
 #include "gtest/gtest.h"
 #include "random/rng.h"
@@ -150,14 +151,12 @@ TEST(GraphFaultPointsTest, SnapshotPatchFailForcesFullRebuild) {
   DynamicGraph graph(*base);
   FaultInjector injector;
   graph.SetFaultInjector(&injector);
-  (void)graph.VersionedSnapshot();  // initial build
 
   // Control: with the injector disarmed a single-edge mutation publishes
-  // via the O(Δ) journal splice, not a rebuild.
-  ASSERT_TRUE(graph.AddEdge(0, 1).ok() || graph.RemoveEdge(0, 1).ok());
+  // via the block-shared splice, not a rebuild — before it returns.
   const uint64_t patches_before = graph.snapshot_patches();
   const uint64_t builds_before = graph.snapshot_builds();
-  (void)graph.VersionedSnapshot();
+  ASSERT_TRUE(graph.AddEdge(0, 1).ok() || graph.RemoveEdge(0, 1).ok());
   ASSERT_EQ(graph.snapshot_patches(), patches_before + 1);
   ASSERT_EQ(graph.snapshot_builds(), builds_before);
 
@@ -165,10 +164,13 @@ TEST(GraphFaultPointsTest, SnapshotPatchFailForcesFullRebuild) {
   plan.Enable(FaultPoint::kSnapshotPatchFail);
   injector.Install(plan);
   ASSERT_TRUE(graph.AddEdge(2, 3).ok() || graph.RemoveEdge(2, 3).ok());
-  (void)graph.VersionedSnapshot();
   EXPECT_EQ(graph.snapshot_patches(), patches_before + 1);
   EXPECT_EQ(graph.snapshot_builds(), builds_before + 1)
       << "injected splice failure did not route onto the rebuild path";
+  // Reading the published snapshot neither publishes nor fires.
+  const DynamicGraph::StampedSnapshot snap = graph.VersionedSnapshot();
+  EXPECT_EQ(snap.version, graph.version());
+  EXPECT_EQ(graph.snapshot_builds(), builds_before + 1);
   EXPECT_EQ(injector.fires(FaultPoint::kSnapshotPatchFail), 1u);
   EXPECT_EQ(injector.graph_fires(), 1u);
 }
@@ -201,15 +203,13 @@ TEST(GraphFaultPointsTest, ProjectionPatchFailForcesReprojection) {
   DynamicGraph graph(*base);
   FaultInjector injector;
   graph.SetFaultInjector(&injector);
-  graph.SetDegreeCap(2);
-  (void)graph.VersionedSnapshot();  // initial projection
+  graph.SetDegreeCap(2);  // initial projection
 
   // Control: the projected companion follows a single-edge mutation via
-  // the O(Δ) projection patch.
-  ASSERT_TRUE(graph.AddEdge(0, 1).ok() || graph.RemoveEdge(0, 1).ok());
+  // the block-shared projection splice.
   const uint64_t ppatches_before = graph.projection_patches();
   const uint64_t pbuilds_before = graph.projection_builds();
-  (void)graph.VersionedSnapshot();
+  ASSERT_TRUE(graph.AddEdge(0, 1).ok() || graph.RemoveEdge(0, 1).ok());
   ASSERT_EQ(graph.projection_patches(), ppatches_before + 1);
   ASSERT_EQ(graph.projection_builds(), pbuilds_before);
 
@@ -217,9 +217,10 @@ TEST(GraphFaultPointsTest, ProjectionPatchFailForcesReprojection) {
   plan.Enable(FaultPoint::kProjectionPatchFail);
   injector.Install(plan);
   ASSERT_TRUE(graph.AddEdge(2, 3).ok() || graph.RemoveEdge(2, 3).ok());
-  (void)graph.VersionedSnapshot();
   EXPECT_EQ(graph.projection_builds(), pbuilds_before + 1)
       << "injected projection-splice failure did not force re-projection";
+  const DynamicGraph::StampedSnapshot snap = graph.VersionedSnapshot();
+  EXPECT_TRUE(snap.projected->Equals(ProjectDegreeCapped(*snap.graph, 2)));
   EXPECT_EQ(injector.fires(FaultPoint::kProjectionPatchFail), 1u);
 }
 

@@ -16,9 +16,11 @@
 #include <vector>
 
 #include "core/privacy_accountant.h"
+#include "edge_set_model.h"
 #include "eval/parallel.h"
 #include "gen/generators.h"
 #include "graph/csr_patch.h"
+#include "graph/degree_cap.h"
 #include "graph/dynamic_graph.h"
 #include "graph/edge_delta.h"
 #include "graph/graph_builder.h"
@@ -121,15 +123,33 @@ TEST(CsrPatchTest, SplicesInsertionsDeletionsAndCancelledPairs) {
   builder.AddEdge(0, 3);
   builder.AddEdge(2, 4);
   builder.AddEdge(5, 0);
-  const CsrGraph prev = builder.Build();
-  // Window: insert 0->2 (splices between 1 and 3), delete 2->4, toggle
-  // 4->5 on and off again (nets to nothing), insert 3->1.
-  const std::vector<EdgeDelta> window = {
+  const CsrGraph original = builder.Build();
+  // Toggles, one splice each: insert 0->2 (between 1 and 3), delete 2->4,
+  // toggle 4->5 on and off again, insert 3->1.
+  const std::vector<EdgeDelta> toggles = {
       {0, 2, true, 1}, {2, 4, false, 2}, {4, 5, true, 3},
       {4, 5, false, 4}, {3, 1, true, 5},
   };
-  auto patched = PatchCsr(prev, window);
-  ASSERT_TRUE(patched.ok()) << patched.status().ToString();
+  // A copy that shares no block or chunk with `g`.
+  const auto unshared = [](const CsrGraph& g) {
+    std::vector<uint64_t> offsets = {0};
+    std::vector<NodeId> targets;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      targets.insert(targets.end(), g.OutNeighbors(v).begin(),
+                     g.OutNeighbors(v).end());
+      offsets.push_back(targets.size());
+    }
+    return CsrGraph(std::move(offsets), std::move(targets), g.directed());
+  };
+  CsrGraph graph = original;
+  for (const EdgeDelta& delta : toggles) {
+    const CsrGraph before = unshared(graph);
+    auto patched = PatchCsr(graph, delta);
+    ASSERT_TRUE(patched.ok()) << patched.status().ToString();
+    // The input is never written, though the output shares its blocks.
+    EXPECT_TRUE(graph.Equals(before));
+    graph = *std::move(patched);
+  }
   GraphBuilder expect_builder(/*directed=*/true);
   expect_builder.SetNumNodes(6);
   expect_builder.AddEdge(0, 1);
@@ -137,123 +157,149 @@ TEST(CsrPatchTest, SplicesInsertionsDeletionsAndCancelledPairs) {
   expect_builder.AddEdge(0, 3);
   expect_builder.AddEdge(5, 0);
   expect_builder.AddEdge(3, 1);
-  EXPECT_TRUE(patched->Equals(expect_builder.Build()));
+  EXPECT_TRUE(graph.Equals(expect_builder.Build()));
 }
 
-TEST(CsrPatchTest, InconsistentWindowsAreRejected) {
+TEST(CsrPatchTest, InconsistentTogglesAreRejected) {
   GraphBuilder builder(/*directed=*/false);
   builder.SetNumNodes(4);
   builder.AddEdge(0, 1);
   builder.AddEdge(1, 2);
   const CsrGraph prev = builder.Build();
-  const auto patch_one = [&](EdgeDelta delta) {
-    return PatchCsr(prev, std::span<const EdgeDelta>(&delta, 1));
-  };
-  // Net insertion of a present edge / deletion of an absent one.
-  EXPECT_TRUE(patch_one({0, 1, true, 1}).status().IsInvalidArgument());
-  EXPECT_TRUE(patch_one({0, 3, false, 1}).status().IsInvalidArgument());
-  // Endpoint out of range (an AddNode happened after the stamp).
-  EXPECT_TRUE(patch_one({0, 9, true, 1}).status().IsInvalidArgument());
-  // Same arc toggled twice in the same direction: not a journal replay.
-  const std::vector<EdgeDelta> doubled = {{0, 2, true, 1}, {0, 2, true, 2}};
-  EXPECT_TRUE(PatchCsr(prev, doubled).status().IsInvalidArgument());
-  // Regression: a VALID insertion at a low node id balancing an invalid
-  // deletion at a high one (net arc shift 0) must be rejected up front —
-  // the splice must never write the extra arc into a buffer sized on the
-  // assumption every op applies before reaching the bad op (pre-fix this
-  // was a heap-buffer-overflow, caught by ASan in CI).
-  GraphBuilder directed_builder(/*directed=*/true);
-  directed_builder.SetNumNodes(8);
-  directed_builder.AddEdge(0, 1);
-  directed_builder.AddEdge(0, 2);
-  const CsrGraph directed_prev = directed_builder.Build();
-  const std::vector<EdgeDelta> unbalanced = {{0, 5, true, 1},
-                                             {7, 3, false, 2}};
-  EXPECT_TRUE(PatchCsr(directed_prev, unbalanced).status().IsInvalidArgument());
-  // A consistent single insertion still patches.
-  EXPECT_TRUE(patch_one({0, 2, true, 1}).ok());
+  // Insertion of a present edge / deletion of an absent one.
+  EXPECT_TRUE(PatchCsr(prev, {0, 1, true, 1}).status().IsInvalidArgument());
+  EXPECT_TRUE(PatchCsr(prev, {0, 3, false, 1}).status().IsInvalidArgument());
+  // Endpoint out of range (an AddNode happened after the stamp), and a
+  // self-loop, which no CSR stores.
+  EXPECT_TRUE(PatchCsr(prev, {0, 9, true, 1}).status().IsInvalidArgument());
+  EXPECT_TRUE(PatchCsr(prev, {2, 2, true, 1}).status().IsInvalidArgument());
+  // An undirected CSR whose mirror arc is missing is rejected before
+  // either arc is spliced.
+  const CsrGraph lopsided({0, 1, 1}, {1}, /*directed=*/false);
+  EXPECT_TRUE(
+      PatchCsr(lopsided, {0, 1, false, 1}).status().IsInvalidArgument());
+  // A consistent single insertion still patches, both arcs.
+  auto patched = PatchCsr(prev, {0, 2, true, 1});
+  ASSERT_TRUE(patched.ok());
+  EXPECT_TRUE(patched->HasEdge(0, 2));
+  EXPECT_TRUE(patched->HasEdge(2, 0));
+  EXPECT_EQ(patched->num_edges(), prev.num_edges() + 1);
 }
 
 TEST(SnapshotPatchTest, RandomizedMutationsEqualFromScratchRebuilds) {
-  // The tentpole property: a mutation-heavy DynamicGraph whose snapshots
-  // are journal-patched must publish CSRs Equals()-identical to a mirror
-  // graph that rebuilds every snapshot from scratch, through compaction and
-  // AddNode fallbacks (small journal, node growth) and across multi-delta
-  // windows.
+  // The tentpole property: every snapshot a mutation publishes — a
+  // block-shared splice of its predecessor — Equals() a from-scratch
+  // GraphBuilder build of a test-held edge set, after every step. The
+  // graph spans two blocks, toggles land inside one block and across
+  // two, and AddNode grows it across a block boundary.
   for (bool directed : {false, true}) {
     Rng rng(directed ? 211u : 212u);
-    auto base = ErdosRenyiGnm(40, 90, directed, rng);
+    auto base = ErdosRenyiGnm(2 * CsrGraph::kBlockNodes - 3, 600, directed,
+                              rng);
     ASSERT_TRUE(base.ok());
-    DynamicGraph patched(*base);
-    DynamicGraph rebuilt(*base);
-    rebuilt.SetJournalCapacity(0);  // the from-scratch mirror
-    patched.SetJournalCapacity(8);
-    NodeId nodes = 40;
-    for (int step = 0; step < 400; ++step) {
-      if (rng.NextBernoulli(0.02)) {
-        ASSERT_EQ(patched.AddNode(), rebuilt.AddNode());
-        ++nodes;
-        continue;
-      }
-      const NodeId u = static_cast<NodeId>(rng.NextBounded(nodes));
-      const NodeId v = static_cast<NodeId>(rng.NextBounded(nodes));
-      if (u == v) continue;
-      if (patched.HasEdge(u, v)) {
-        ASSERT_TRUE(patched.RemoveEdge(u, v).ok());
-        ASSERT_TRUE(rebuilt.RemoveEdge(u, v).ok());
-      } else {
-        ASSERT_TRUE(patched.AddEdge(u, v).ok());
-        ASSERT_TRUE(rebuilt.AddEdge(u, v).ok());
-      }
-      // Snapshot sometimes, so windows span 1..many deltas (and sometimes
-      // outrun the 8-entry journal, exercising the compaction fallback).
-      if (!rng.NextBernoulli(0.35)) continue;
-      const DynamicGraph::StampedSnapshot a = patched.VersionedSnapshot();
-      const DynamicGraph::StampedSnapshot b = rebuilt.VersionedSnapshot();
-      ASSERT_EQ(a.version, b.version);
-      ASSERT_EQ(a.num_edges, b.num_edges);
-      ASSERT_TRUE(a.graph->Equals(*b.graph))
+    DynamicGraph graph(*base);
+    EdgeSetModel model = EdgeSetModel::Of(*base);
+    for (int step = 0; step < 600; ++step) {
+      if (!MutateBoth(graph, model, rng, /*add_node_rate=*/0.02)) continue;
+      const DynamicGraph::StampedSnapshot snap = graph.VersionedSnapshot();
+      ASSERT_EQ(snap.version, graph.version());
+      ASSERT_EQ(snap.num_edges, model.edges.size());
+      ASSERT_TRUE(snap.graph->Equals(model.Build()))
           << (directed ? "directed" : "undirected")
           << " CSR diverged at step " << step;
     }
-    // The property only bites if both publication paths actually ran.
-    EXPECT_GT(patched.snapshot_patches(), 0u);
-    EXPECT_GT(patched.snapshot_builds(), 1u)
-        << "fallback paths (AddNode / compaction) never fired";
-    EXPECT_EQ(rebuilt.snapshot_patches(), 0u);
+    EXPECT_GT(model.nodes, 2 * CsrGraph::kBlockNodes)
+        << "AddNode never crossed the block boundary";
+    EXPECT_EQ(graph.snapshot_builds(), 1u);  // the initial import only
   }
 }
 
-TEST(SnapshotPatchTest, ThresholdAndFallbacksRouteToFullRebuild) {
+TEST(SnapshotPatchTest, EveryMutationPublishesExactlyOnce) {
+  // The publication contract: each successful mutation — edge toggle or
+  // AddNode, journal on or off — adds exactly one to snapshot_builds() +
+  // snapshot_patches() before it returns; failed mutations and snapshot
+  // reads add nothing.
   DynamicGraph g(10, /*directed=*/false);
-  ASSERT_TRUE(g.AddEdge(0, 1).ok());
-  (void)g.VersionedSnapshot();  // first materialization: nothing to patch
-  EXPECT_EQ(g.snapshot_builds(), 1u);
+  const auto publications = [&] {
+    return g.snapshot_builds() + g.snapshot_patches();
+  };
+  EXPECT_EQ(g.snapshot_builds(), 1u);  // the initial snapshot
   EXPECT_EQ(g.snapshot_patches(), 0u);
-
-  ASSERT_TRUE(g.AddEdge(0, 2).ok());
-  (void)g.VersionedSnapshot();  // one-delta window: patched
+  const auto expect_one = [&](auto mutate) {
+    const uint64_t before = publications();
+    mutate();
+    EXPECT_EQ(publications(), before + 1);
+    const uint64_t after = publications();
+    (void)g.VersionedSnapshot();
+    (void)g.SharedSnapshot();
+    (void)g.HasEdge(0, 1);
+    EXPECT_EQ(publications(), after) << "a read published";
+  };
+  expect_one([&] { ASSERT_TRUE(g.AddEdge(0, 1).ok()); });
+  expect_one([&] { ASSERT_TRUE(g.AddEdge(0, 2).ok()); });
+  expect_one([&] { ASSERT_TRUE(g.RemoveEdge(0, 1).ok()); });
+  expect_one([&] { g.AddNode(); });
+  g.SetJournalCapacity(0);  // the journal no longer affects publication
+  expect_one([&] { ASSERT_TRUE(g.AddEdge(1, 10).ok()); });
+  // Every one of them spliced; none was built from scratch.
   EXPECT_EQ(g.snapshot_builds(), 1u);
-  EXPECT_EQ(g.snapshot_patches(), 1u);
+  EXPECT_EQ(g.snapshot_patches(), 5u);
 
-  // A 600-delta window is patched too: only the journal capacity bounds it.
-  for (int i = 0; i < 600; ++i) {
-    ASSERT_TRUE(i % 2 == 0 ? g.AddEdge(3, 4).ok() : g.RemoveEdge(3, 4).ok());
+  const uint64_t before = publications();
+  EXPECT_TRUE(g.AddEdge(0, 2).IsFailedPrecondition());
+  EXPECT_TRUE(g.RemoveEdge(3, 4).IsFailedPrecondition());
+  EXPECT_TRUE(g.AddEdge(5, 5).IsInvalidArgument());
+  EXPECT_TRUE(g.AddEdge(0, 99).IsInvalidArgument());
+  EXPECT_EQ(publications(), before);
+}
+
+TEST(SnapshotPatchTest, PinnedSnapshotSurvivesSharedBlockChurn) {
+  // Block sharing allows one new fault: a splice that writes into a block
+  // an older snapshot still reads. Pin a snapshot (and its projection) of
+  // a Chung-Lu graph, hammer its first blocks with toggles and AddNode,
+  // and check that the pinned pair still equals its saved flat lists.
+  Rng rng(4411);
+  const std::vector<double> weights = PowerLawWeights(2000, 2.2);
+  auto base = ChungLu(weights, weights, 8000, /*directed=*/false, rng);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  DynamicGraph graph(*base);
+  graph.SetDegreeCap(3);
+  const DynamicGraph::StampedSnapshot pinned = graph.VersionedSnapshot();
+  ASSERT_NE(pinned.projected, nullptr);
+  const auto flatten = [](const CsrGraph& g) {
+    std::vector<std::vector<NodeId>> lists(g.num_nodes());
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      lists[v].assign(g.OutNeighbors(v).begin(), g.OutNeighbors(v).end());
+    }
+    return lists;
+  };
+  const auto saved_graph = flatten(*pinned.graph);
+  const auto saved_projection = flatten(*pinned.projected);
+
+  // Skewed onto the first blocks: 3/4 of the toggles keep both endpoints
+  // in the first four blocks.
+  const NodeId hot = 4 * CsrGraph::kBlockNodes;
+  int toggles = 0;
+  while (toggles < 3000) {
+    if (rng.NextBernoulli(0.002)) {
+      graph.AddNode();
+      continue;
+    }
+    const NodeId range = rng.NextBernoulli(0.75) ? hot : graph.num_nodes();
+    const NodeId u = static_cast<NodeId>(rng.NextBounded(range));
+    const NodeId v = static_cast<NodeId>(rng.NextBounded(range));
+    if (u == v) continue;
+    ASSERT_TRUE(graph.HasEdge(u, v) ? graph.RemoveEdge(u, v).ok()
+                                    : graph.AddEdge(u, v).ok());
+    ++toggles;
   }
-  (void)g.VersionedSnapshot();
-  EXPECT_EQ(g.snapshot_builds(), 1u);
-  EXPECT_EQ(g.snapshot_patches(), 2u);
-
-  g.AddNode();
-  (void)g.VersionedSnapshot();  // node growth: no delta describes it
-  EXPECT_EQ(g.snapshot_builds(), 2u);
-  EXPECT_EQ(g.snapshot_patches(), 2u);
-
-  g.SetJournalCapacity(0);  // journaling off: every window is OutOfRange
-  ASSERT_TRUE(g.AddEdge(1, 2).ok());
-  (void)g.VersionedSnapshot();
-  EXPECT_EQ(g.snapshot_builds(), 3u);
-  EXPECT_EQ(g.snapshot_patches(), 2u);
+  EXPECT_EQ(flatten(*pinned.graph), saved_graph);
+  EXPECT_EQ(flatten(*pinned.projected), saved_projection);
+  EXPECT_EQ(pinned.num_edges, pinned.graph->num_edges());
+  // The live graph moved on, and its projection still follows the rule.
+  const DynamicGraph::StampedSnapshot live = graph.VersionedSnapshot();
+  EXPECT_FALSE(live.graph->Equals(*pinned.graph));
+  EXPECT_TRUE(live.projected->Equals(ProjectDegreeCapped(*live.graph, 3)));
 }
 
 // ------------------------------------------------- affected-set completeness
@@ -1179,10 +1225,10 @@ TEST(IncrementalConcurrencyTest, ConcurrentMutateAndDeltaRepairServes) {
 }
 
 TEST(IncrementalConcurrencyTest, ConcurrentMutateAndSnapshotPatch) {
-  // Mutators hammer the graph while snapshot readers force patched
-  // publications (plus occasional AddNode fallbacks) — the patch path
-  // runs under the writer mutex like the full rebuild, so this must stay
-  // TSAN-clean and every observed snapshot must be internally coherent.
+  // Mutators hammer the graph — each one splicing and publishing its own
+  // snapshot under the writer mutex, with occasional AddNode — while the
+  // same threads read snapshots, so this must stay TSAN-clean and every
+  // observed snapshot must be internally coherent.
   for (bool directed : {false, true}) {
     Rng graph_rng(directed ? 171u : 172u);
     auto base = ErdosRenyiGnm(120, 400, directed, graph_rng);
@@ -1196,9 +1242,8 @@ TEST(IncrementalConcurrencyTest, ConcurrentMutateAndSnapshotPatch) {
       Rng rng(1700 + 10 * w + (directed ? 1 : 0));
       uint64_t last_version = 0;
       for (uint64_t op = 0; op < kOpsPerThread; ++op) {
-        // Every thread both mutates and snapshots, so publication windows
-        // stay small and the patch path (not just the rebuild fallback)
-        // is what races the mutators.
+        // Every thread both mutates and snapshots, so snapshot reads race
+        // the publications of every other thread.
         if (rng.NextBernoulli(0.3)) {  // mutate (with rare node growth)
           if (rng.NextBernoulli(0.005)) {
             graph.AddNode();
@@ -1227,11 +1272,16 @@ TEST(IncrementalConcurrencyTest, ConcurrentMutateAndSnapshotPatch) {
     EXPECT_GT(snapshots_checked.load(), 0u);
     EXPECT_GT(graph.snapshot_patches(), 0u)
         << "stress never exercised the patched publication path";
-    // A final quiescent check: the published state must equal a
-    // from-scratch rebuild of the same adjacency.
+    // A final quiescent check: the published CSR must equal a
+    // from-scratch build of its own arcs — so its lists are sorted,
+    // duplicate-free and, undirected, symmetric.
     const DynamicGraph::StampedSnapshot final_snap = graph.VersionedSnapshot();
-    DynamicGraph mirror(*final_snap.graph);
-    EXPECT_TRUE(mirror.SharedSnapshot()->Equals(*final_snap.graph));
+    GraphBuilder rebuild(directed);
+    rebuild.SetNumNodes(final_snap.graph->num_nodes());
+    for (NodeId u = 0; u < final_snap.graph->num_nodes(); ++u) {
+      for (NodeId v : final_snap.graph->OutNeighbors(u)) rebuild.AddEdge(u, v);
+    }
+    EXPECT_TRUE(rebuild.Build().Equals(*final_snap.graph));
   }
 }
 

@@ -8,15 +8,15 @@
 //    and the cap — identical across repeated materializations and across
 //    service shard counts;
 //  - patched-vs-rebuilt equality: a mutation-heavy DynamicGraph whose
-//    projected companions are journal-patched (PatchProjectedCsr) publishes
-//    projections Equals()-identical to a from-scratch mirror, through
-//    journal compaction and AddNode fallbacks (the PR 5 mirror-harness
-//    pattern extended to the projected companion).
+//    projected companions are block-shared splices (PatchProjectedCsr)
+//    publishes, after every mutation, the projection of a from-scratch
+//    build of a test-held edge set, through AddNode growth.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "edge_set_model.h"
 #include "gen/fixtures.h"
 #include "gen/generators.h"
 #include "gen/neighboring.h"
@@ -149,58 +149,40 @@ TEST(DegreeCapProjectionTest, DeterministicAcrossServiceShardCounts) {
 // ---------------------------------------- patched vs rebuilt projections
 
 TEST(ProjectionSnapshotPatchTest, RandomizedMutationsEqualFromScratch) {
-  // Mirror harness: `patched` publishes projected companions via the O(Δ)
-  // PatchProjectedCsr route whenever the journal window allows; `rebuilt`
-  // has journaling off, so every one of its projections is a
-  // from-scratch ProjectDegreeCapped. Both must publish Equals()-identical
-  // projections at every sampled version, through small-journal compaction
-  // fallbacks and AddNode (which PatchProjectedCsr refuses, falling back
-  // to a full projection build).
-  for (uint32_t cap : {2u, 8u}) {
-    Rng rng(920 + cap);
-    auto base = ErdosRenyiGnm(40, 90, /*directed=*/false, rng);
-    ASSERT_TRUE(base.ok());
-    DynamicGraph patched(*base);
-    DynamicGraph rebuilt(*base);
-    rebuilt.SetJournalCapacity(0);
-    patched.SetJournalCapacity(8);
-    patched.SetDegreeCap(cap);
-    rebuilt.SetDegreeCap(cap);
-    NodeId nodes = 40;
-    for (int step = 0; step < 400; ++step) {
-      if (rng.NextBernoulli(0.02)) {
-        ASSERT_EQ(patched.AddNode(), rebuilt.AddNode());
-        ++nodes;
-        continue;
+  // Mirror harness: every mutation publishes a projected companion spliced
+  // from its predecessor (PatchProjectedCsr, or a shared-block extension
+  // on AddNode). After every step the published snapshot must Equals() a
+  // from-scratch GraphBuilder build of a test-held edge set, and its
+  // projection must Equals() ProjectDegreeCapped of that build — on
+  // directed and undirected graphs spanning two blocks, with AddNode
+  // growing them across a block boundary.
+  for (bool directed : {false, true}) {
+    for (uint32_t cap : {2u, 8u}) {
+      Rng rng(920 + cap + (directed ? 100 : 0));
+      auto base = ErdosRenyiGnm(2 * CsrGraph::kBlockNodes - 3, 700, directed,
+                                rng);
+      ASSERT_TRUE(base.ok());
+      DynamicGraph graph(*base);
+      graph.SetDegreeCap(cap);
+      EdgeSetModel model = EdgeSetModel::Of(*base);
+      for (int step = 0; step < 500; ++step) {
+        if (!MutateBoth(graph, model, rng, /*add_node_rate=*/0.02)) continue;
+        const DynamicGraph::StampedSnapshot snap = graph.VersionedSnapshot();
+        ASSERT_NE(snap.projected, nullptr);
+        const CsrGraph expected = model.Build();
+        ASSERT_TRUE(snap.graph->Equals(expected))
+            << "cap " << cap << ": CSR diverged at step " << step;
+        ASSERT_TRUE(snap.projected->Equals(ProjectDegreeCapped(expected, cap)))
+            << (directed ? "directed" : "undirected") << " cap " << cap
+            << ": projected CSR diverged at step " << step;
       }
-      const NodeId u = static_cast<NodeId>(rng.NextBounded(nodes));
-      const NodeId v = static_cast<NodeId>(rng.NextBounded(nodes));
-      if (u == v) continue;
-      if (patched.HasEdge(u, v)) {
-        ASSERT_TRUE(patched.RemoveEdge(u, v).ok());
-        ASSERT_TRUE(rebuilt.RemoveEdge(u, v).ok());
-      } else {
-        ASSERT_TRUE(patched.AddEdge(u, v).ok());
-        ASSERT_TRUE(rebuilt.AddEdge(u, v).ok());
-      }
-      if (!rng.NextBernoulli(0.35)) continue;
-      const DynamicGraph::StampedSnapshot a = patched.VersionedSnapshot();
-      const DynamicGraph::StampedSnapshot b = rebuilt.VersionedSnapshot();
-      ASSERT_EQ(a.version, b.version);
-      ASSERT_NE(a.projected, nullptr);
-      ASSERT_NE(b.projected, nullptr);
-      ASSERT_TRUE(a.projected->Equals(*b.projected))
-          << "cap " << cap << ": projected CSR diverged at step " << step;
-      // The projection must also agree with the pure function of the
-      // published forward CSR — patching may never drift from the rule.
-      ASSERT_TRUE(a.projected->Equals(ProjectDegreeCapped(*a.graph, cap)))
-          << "cap " << cap << ": patched projection drifted at step " << step;
+      EXPECT_GT(model.nodes, 2 * CsrGraph::kBlockNodes)
+          << "AddNode never crossed the block boundary";
+      // SetDegreeCap projected once from scratch; every mutation since
+      // spliced.
+      EXPECT_EQ(graph.projection_builds(), 1u);
+      EXPECT_GT(graph.projection_patches(), 0u);
     }
-    // The harness only proves something if both publication routes ran.
-    EXPECT_GT(patched.projection_patches(), 0u);
-    EXPECT_GT(patched.projection_builds(), 0u);  // AddNode/compaction falls back
-    EXPECT_EQ(rebuilt.projection_patches(), 0u);
-    EXPECT_GT(rebuilt.projection_builds(), 0u);
   }
 }
 

@@ -323,11 +323,13 @@ TEST(ServiceTest, NoSnapshotRebuildOnUnmutatedGraph) {
   EXPECT_EQ(graph.snapshot_builds(), 1u);
   EXPECT_EQ(graph.SharedSnapshot().get(), snapshot.get());
 
-  // A mutation invalidates once; subsequent serving materializes exactly
-  // one new snapshot — and because the journal covers the one-delta
-  // window, it is an O(Δ) patch of the previous CSR, not a rebuild.
+  // A mutation publishes exactly one new snapshot before it returns — a
+  // block-shared splice of the previous CSR, not a rebuild — and the
+  // serving that follows publishes nothing.
   ASSERT_TRUE(service.AddEdge(0, graph.num_nodes() - 1).ok() ||
               service.RemoveEdge(0, graph.num_nodes() - 1).ok());
+  EXPECT_EQ(graph.snapshot_builds(), 1u);
+  EXPECT_EQ(graph.snapshot_patches(), 1u);
   ASSERT_TRUE(service.ServeRecommendation(5, rng).ok());
   ASSERT_TRUE(service.ServeRecommendation(6, rng).ok());
   EXPECT_EQ(graph.snapshot_builds(), 1u);
