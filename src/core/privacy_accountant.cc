@@ -8,10 +8,6 @@
 
 namespace privrec {
 
-const char* PrivacyModelName(PrivacyModel model) {
-  return model == PrivacyModel::kNode ? "node" : "edge";
-}
-
 PrivacyAccountant::PrivacyAccountant(double budget) : budget_(budget) {
   PRIVREC_CHECK_GE(budget, 0.0);
 }

@@ -18,8 +18,6 @@ namespace privrec {
 ///    the rewired node moves at most D arcs per adjacency list.
 enum class PrivacyModel { kEdge, kNode };
 
-const char* PrivacyModelName(PrivacyModel model);
-
 /// Continual-observation budget policy for long-lived users: lifetime ε is
 /// the hard cap, but within it, spend is throttled to `refresh_epsilon`
 /// per tumbling window of `window_length` requests (a request = one

@@ -2,7 +2,6 @@
 #define PRIVREC_GRAPH_EDGE_DELTA_H_
 
 #include <cstdint>
-#include <span>
 
 #include "graph/csr_graph.h"
 
@@ -43,31 +42,12 @@ struct EdgeDelta {
 /// endpoints: affected iff r is an endpoint or adjacent to one.
 ///
 /// This structural test is exact ONLY for the pure two-hop weighted-count
-/// family. Utilities whose scores also read candidate-side state (Jaccard's
-/// union term uses candidate degrees) have a wider blast radius; they
-/// override UtilityFunction::EdgeDeltaAffects, and callers deciding cache
-/// repairs must go through that virtual, not this function directly.
+/// family, and it reads only the target's own adjacency and the delta's
+/// endpoints, which is what makes it safe as a cache keep test (see
+/// UtilityFunction::EdgeDeltaAffects). Cache repair goes through that
+/// virtual, not this function directly.
 bool EdgeDeltaAffectsTarget(const CsrGraph& graph, const EdgeDelta& delta,
                             NodeId target);
-
-/// Exact keep test for truncated-walk utilities (Katz, personalized
-/// PageRank): true iff some window delta's changed out-list can be READ by
-/// a walk of at most `max_hops` arcs from `target` — i.e. some delta TAIL
-/// (the arc's source; both endpoints on undirected graphs) is the target
-/// itself or reachable from it within `max_hops` hops. Reachability runs
-/// over the UNION of the post-window snapshot's arcs and every window arc
-/// (injected regardless of add/remove): the union is a supergraph of every
-/// intermediate state, so "tail unreachable in the union" proves no walk in
-/// ANY state of the window touches a changed list — the cached vector is
-/// exactly current and may be kept.
-///
-/// BFS never re-expands `target`, which matches both walk conventions:
-/// Katz walks avoid the target as an intermediate, and for PPR (walks may
-/// revisit the target) any walk through the target has a suffix from the
-/// target at most as long, so plain BFS reachability is equivalent.
-bool WindowWithinWalkCone(const CsrGraph& graph,
-                          std::span<const EdgeDelta> window, NodeId target,
-                          int max_hops);
 
 }  // namespace privrec
 

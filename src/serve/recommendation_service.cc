@@ -261,10 +261,10 @@ void RecommendationService::RepairEntryLocked(
   // Journal repair is an EDGE-model tool: the journal records raw-graph
   // toggles, but under kNode the serve path reads the projected view, and
   // a raw delta (u,v) can evict a third arc (u,w) from u's capped prefix —
-  // an arc change no raw-journal keep test can see. Until a
-  // projected-delta journal exists (follow-up in ROADMAP), kNode entries
+  // an arc change no raw-journal keep test can see. So kNode entries
   // recompute against the view on every version change (the baseline path
-  // below), which is exact and still touches no other entry.
+  // below), which is exact and still touches no other entry; the degree
+  // cap keeps that recompute cheap.
   // Distinguishes the FORCED fallback (journal could not replay the
   // window, or an injected kRepairFail) from repair being structurally
   // unavailable — only the former counts as a stale_fallback_serve.
@@ -283,11 +283,10 @@ void RecommendationService::RepairEntryLocked(
     auto deltas = graph_->EdgeDeltasBetween(version, snap.version);
     if (deltas.ok()) {
       // Membership against the post-batch snapshot is exact as long as the
-      // whole window is tested together (see EdgeDeltaAffectsTarget); the
-      // utility owns the test because some see a wider blast radius than
-      // the structural rule (Jaccard's union term, the Katz/PPR walk cone)
-      // — and need the whole window at once to reconstruct pre-window
-      // state (EdgeDeltaWindowAffects).
+      // whole window is tested together (see EdgeDeltaAffectsTarget). The
+      // test reads only the target's adjacency and the window's endpoints
+      // (the contract on UtilityFunction::EdgeDeltaAffects), so the route
+      // taken here cannot depend on an edge the target does not touch.
       if (!utility_->EdgeDeltaWindowAffects(*snap.graph, *deltas, user,
                                             entry.utilities)) {
         // The cached vector — and its frozen sampler — are still exactly

@@ -204,9 +204,9 @@ struct ServiceStats {
 ///  - per-user privacy accounting (refuses service when a user's lifetime
 ///    budget is spent — the only sound failure mode),
 ///  - a utility-vector cache repaired precisely when a graph update can
-///    change a cached vector (for the 2-hop utility families, an update
-///    (u,v) affects target r only if u or v lies in {r} ∪ N(r); this
-///    service is restricted to those utilities),
+///    change a cached vector (for the utilities that opt in, an update
+///    (u,v) affects target r only if u or v lies in {r} ∪ N(r); every
+///    other utility recomputes on each graph change),
 ///  - exponential-mechanism releases calibrated to the utility's
 ///    sensitivity on the current graph.
 ///
@@ -217,9 +217,11 @@ struct ServiceStats {
 /// pinned snapshot is repaired lazily on its next visit by draining the
 /// journal between the two stamps, and then kept or recomputed:
 ///  - keep: the utility's exact keep test (EdgeDeltaWindowAffects,
-///    evaluated over the whole window against the post-window snapshot —
-///    Jaccard widens the structural rule by the cached support, Katz and
-///    PPR test their walk cone) clears the window → the entry is kept
+///    evaluated over the whole window against the post-window snapshot;
+///    only common neighbors, Adamic-Adar and resource allocation opt in,
+///    with the structural 2-hop rule, whose verdict reads only the
+///    target's adjacency and the window's endpoints, so the route cannot
+///    depend on a private edge) clears the window → the entry is kept
 ///    wholesale, frozen sampler and support index included: a cache-hit
 ///    serve after an unrelated toggle stays one O(1) alias draw plus, for
 ///    a zero-block pick, one O(log s) resolution (see Fast path);
@@ -276,10 +278,9 @@ struct ServiceStats {
 /// concurrency-safe default.
 class RecommendationService {
  public:
-  /// `graph` and `utility` must outlive the service. The utility must be
-  /// 2-hop local (common neighbors / Adamic-Adar / resource allocation /
-  /// Jaccard); this is a documented contract, not something the type
-  /// system can check.
+  /// `graph` must outlive the service. Any utility may be served; only
+  /// those that opt into cache repair (SupportsIncrementalUpdate) keep
+  /// entries across graph changes, the rest recompute them.
   RecommendationService(DynamicGraph* graph,
                         std::unique_ptr<UtilityFunction> utility,
                         const ServiceOptions& options);

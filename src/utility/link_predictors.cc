@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -19,15 +18,6 @@ namespace {
 /// mirrors Compute's `continue`.
 double InverseDegreeWeight(uint32_t degree) {
   return degree == 0 ? 0.0 : 1.0 / static_cast<double>(degree);
-}
-
-/// Linear scan: utility vectors are sorted by score, not node, and the
-/// repair path asks this once per delta per cached entry.
-bool HasPositiveEntry(const UtilityVector& vec, NodeId node) {
-  for (const UtilityEntry& e : vec.nonzero()) {
-    if (e.node == node) return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -73,53 +63,6 @@ UtilityVector JaccardUtility::Compute(const CsrGraph& graph, NodeId target,
   const uint64_t num_candidates =
       static_cast<uint64_t>(graph.num_nodes()) - 1 - graph.OutDegree(target);
   return UtilityVector(target, num_candidates, nonzero);
-}
-
-bool JaccardUtility::EdgeDeltaAffects(const CsrGraph& graph,
-                                      const EdgeDelta& delta, NodeId target,
-                                      const UtilityVector& cached) const {
-  return EdgeDeltaWindowAffects(graph, std::span<const EdgeDelta>(&delta, 1),
-                                target, cached);
-}
-
-bool JaccardUtility::EdgeDeltaWindowAffects(const CsrGraph& graph,
-                                            std::span<const EdgeDelta> deltas,
-                                            NodeId target,
-                                            const UtilityVector& cached) const {
-  for (const EdgeDelta& delta : deltas) {
-    if (EdgeDeltaAffectsTarget(graph, delta, target)) return true;
-    // Union-term dependence: the toggle shifted an endpoint's out-degree —
-    // delta.u always; delta.v only when the mirror arc toggles too.
-    if (HasPositiveEntry(cached, delta.u)) return true;
-    if (!graph.directed() && HasPositiveEntry(cached, delta.v)) return true;
-  }
-  if (!graph.directed()) return false;
-  // Directed hidden-support case: a tail whose out-degree was ZERO before
-  // the window can hide a full-intersection candidate behind Compute's
-  // uni > 0 guard (uni = d_r + 0 - I = 0 forces I = d_r), and any arc it
-  // gained can surface that candidate — cached support cannot witness it.
-  // The pre-window degree is the post-batch degree minus the window's net
-  // arc changes per tail; a lone post-batch OutDegree test would miss a
-  // tail that left zero in several steps.
-  //
-  // Narrowed per target (ISSUE 6 — the old target-independent form
-  // flagged EVERY cached entry whenever any sink node toggled, turning
-  // each one into a recompute): only a tail that crossed OUT of degree
-  // zero can surface a hidden candidate, and its post-window score is
-  // nonzero only if the target still 2-hop-reaches it (I_post > 0). The
-  // reverse crossing — a candidate falling TO degree zero — hides an
-  // entry the cache DID store, which the cached-support clause above
-  // already flags; and every intersection/d_r shift is structural.
-  std::unordered_map<NodeId, int64_t> net;
-  for (const EdgeDelta& delta : deltas) {
-    net[delta.u] += delta.added ? 1 : -1;
-  }
-  for (const auto& [tail, shift] : net) {
-    const int64_t pre = static_cast<int64_t>(graph.OutDegree(tail)) - shift;
-    if (pre > 0 || graph.OutDegree(tail) == 0) continue;
-    if (TwoHopReaches(graph, target, tail)) return true;
-  }
-  return false;
 }
 
 double JaccardUtility::SensitivityBound(const CsrGraph& graph) const {
@@ -225,24 +168,6 @@ UtilityVector KatzUtility::Compute(const CsrGraph& graph, NodeId target,
     std::swap(frontier, next);
   }
   return FinalizeUtilityScores(graph, target, scores, workspace);
-}
-
-bool KatzUtility::EdgeDeltaAffects(const CsrGraph& graph,
-                                   const EdgeDelta& delta, NodeId target,
-                                   const UtilityVector& /*cached*/) const {
-  // A length-l walk uses arc (u, v) only after a length-(l-1) prefix
-  // reaches u; truncation at L bounds the prefix by L-1 hops.
-  return WindowWithinWalkCone(graph, std::span<const EdgeDelta>(&delta, 1),
-                              target, max_length_ - 1);
-}
-
-bool KatzUtility::EdgeDeltaWindowAffects(
-    const CsrGraph& graph, std::span<const EdgeDelta> deltas, NodeId target,
-    const UtilityVector& /*cached*/) const {
-  // One union-graph BFS for the whole window: conservative against every
-  // intermediate state at the cost of a single cone traversal, instead of
-  // the default's per-delta OR.
-  return WindowWithinWalkCone(graph, deltas, target, max_length_ - 1);
 }
 
 double KatzUtility::SensitivityBound(const CsrGraph& graph) const {

@@ -22,34 +22,10 @@ class JaccardUtility : public UtilityFunction {
   UtilityVector Compute(const CsrGraph& graph, NodeId target,
                         UtilityWorkspace& workspace) const override;
 
-  /// The widened keep test below is exact, so cached entries it clears
-  /// are kept.
-  bool SupportsIncrementalUpdate() const override { return true; }
-
-  /// Jaccard's scores depend on CANDIDATE degrees through the union term,
-  /// so a toggle also reaches every target that scores an endpoint as a
-  /// candidate — a dependence the structural 2-hop test cannot see.
-  /// Widens the test by the cached support: a toggle whose endpoint has a
-  /// nonzero cached score shifts that candidate's denominator. (An
-  /// endpoint with zero intersection keeps score exactly 0 under any
-  /// denominator, so the widened test is still exact, not conservative.)
-  /// On directed graphs an extra clause flags toggles that may surface
-  /// hidden support: Compute's uni > 0 guard suppresses a zero-out-degree
-  /// candidate with full intersection, which the cached support cannot
-  /// witness.
-  bool EdgeDeltaAffects(const CsrGraph& graph, const EdgeDelta& delta,
-                        NodeId target,
-                        const UtilityVector& cached) const override;
-
-  /// The directed hidden-support clause depends on a tail's PRE-window
-  /// out-degree; over a multi-delta window that must be reconstructed by
-  /// netting the window's arcs per tail (a post-batch OutDegree alone
-  /// misses a tail that crossed zero mid-window, e.g. 0 → 2 across two
-  /// adds).
-  bool EdgeDeltaWindowAffects(const CsrGraph& graph,
-                              std::span<const EdgeDelta> deltas,
-                              NodeId target,
-                              const UtilityVector& cached) const override;
+  // Not incremental: an exact keep test must read candidate degrees (the
+  // union term), which depend on edges not incident to the target, so the
+  // repair route would leak them (see UtilityFunction::EdgeDeltaAffects).
+  // Every graph change recomputes this utility's entries.
 
   /// One edge toggle moves the intersection by <= 1 and the union by <= 1
   /// for up to two affected candidates, each term bounded by 1 (Jaccard is
@@ -132,24 +108,9 @@ class KatzUtility : public UtilityFunction {
   UtilityVector Compute(const CsrGraph& graph, NodeId target,
                         UtilityWorkspace& workspace) const override;
 
-  /// Incremental maintenance via the truncated-walk cone: a toggle whose
-  /// changed out-list no length-<=(L-1) walk from the target can read
-  /// provably leaves the vector untouched (WindowWithinWalkCone in
-  /// graph/edge_delta.h — the keep test is exact, so far-away toggles
-  /// stop invalidating cached entries). Affected entries recompute.
-  bool SupportsIncrementalUpdate() const override { return true; }
-
-  /// Walk-cone test (depth L-1), replacing the structural 2-hop default
-  /// which is wrong for a 3+-hop utility in BOTH directions (it would keep
-  /// entries a 3-hop walk invalidated, and invalidate entries no walk can
-  /// see).
-  bool EdgeDeltaAffects(const CsrGraph& graph, const EdgeDelta& delta,
-                        NodeId target,
-                        const UtilityVector& cached) const override;
-  bool EdgeDeltaWindowAffects(const CsrGraph& graph,
-                              std::span<const EdgeDelta> deltas,
-                              NodeId target,
-                              const UtilityVector& cached) const override;
+  // Not incremental: an exact keep test must follow walks past the
+  // target's own adjacency, so its verdict would depend on edges the
+  // relaxed edge-DP keeps private. Every graph change recomputes.
 
   /// Geometric series bound: a toggled edge can appear in at most
   /// L·d_max^{L-2} truncated walks per orientation, each weighted <= β²

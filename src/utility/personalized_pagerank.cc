@@ -72,22 +72,6 @@ double PersonalizedPageRankUtility::NodeSensitivityBound(
   return SensitivityBound(projected);
 }
 
-bool PersonalizedPageRankUtility::EdgeDeltaAffects(
-    const CsrGraph& graph, const EdgeDelta& delta, NodeId target,
-    const UtilityVector& /*cached*/) const {
-  // Mass first reaches a node at hop h and its out-list (including the
-  // dangling-restart behavior of a degree-0 node) is only read in rounds
-  // after that, so `iterations - 1` hops bound every readable tail.
-  return WindowWithinWalkCone(graph, std::span<const EdgeDelta>(&delta, 1),
-                              target, iterations_ - 1);
-}
-
-bool PersonalizedPageRankUtility::EdgeDeltaWindowAffects(
-    const CsrGraph& graph, std::span<const EdgeDelta> deltas, NodeId target,
-    const UtilityVector& /*cached*/) const {
-  return WindowWithinWalkCone(graph, deltas, target, iterations_ - 1);
-}
-
 double PersonalizedPageRankUtility::EdgeAlterationsT(
     const CsrGraph& graph, NodeId target,
     const UtilityVector& /*utilities*/) const {

@@ -42,18 +42,9 @@ class PersonalizedPageRankUtility : public UtilityFunction {
   double NodeSensitivityBound(const CsrGraph& projected,
                               uint32_t degree_cap) const override;
 
-  /// Incremental maintenance via the push-cone keep test: a toggle whose
-  /// changed out-list no mass can reach within `iterations` push rounds
-  /// provably leaves the vector untouched (WindowWithinWalkCone in
-  /// graph/edge_delta.h, depth iterations-1). Affected entries recompute.
-  bool SupportsIncrementalUpdate() const override { return true; }
-  bool EdgeDeltaAffects(const CsrGraph& graph, const EdgeDelta& delta,
-                        NodeId target,
-                        const UtilityVector& cached) const override;
-  bool EdgeDeltaWindowAffects(const CsrGraph& graph,
-                              std::span<const EdgeDelta> deltas,
-                              NodeId target,
-                              const UtilityVector& cached) const override;
+  // Not incremental: an exact keep test must follow the walk past the
+  // target's own adjacency, so its verdict would depend on edges the
+  // relaxed edge-DP keeps private. Every graph change recomputes.
 
   /// Promotion argument as for common neighbors: wiring the promoted node
   /// to all of r's neighbors captures the bulk of 2-hop PPR mass; +2

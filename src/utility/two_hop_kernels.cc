@@ -7,24 +7,6 @@
 
 namespace privrec {
 
-bool TwoHopReaches(const CsrGraph& graph, NodeId target, NodeId node) {
-  const std::span<const NodeId> mids = graph.OutNeighbors(target);
-  // Degree-ordered midpoint pruning: probe cheap lists first so a hit on
-  // a low-degree intermediate short-circuits the hub binary searches.
-  constexpr uint32_t kCheapDegree = 32;
-  for (const NodeId z : mids) {
-    if (graph.OutDegree(z) <= kCheapDegree && graph.HasEdge(z, node)) {
-      return true;
-    }
-  }
-  for (const NodeId z : mids) {
-    if (graph.OutDegree(z) > kCheapDegree && graph.HasEdge(z, node)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 size_t ExpandTwoHopFrontier(const CsrGraph& graph, NodeId target,
                             TwoHopScratch& scratch, DegreeWeightFn weight,
                             bool constant_weight) {

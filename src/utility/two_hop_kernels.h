@@ -14,13 +14,6 @@ namespace privrec {
 /// out-degree.
 using DegreeWeightFn = double (*)(uint32_t degree);
 
-/// Whether `target` 2-hop-reaches `node` post-window: ∃ z ∈ N_out(target)
-/// with the arc z→node. Degree-ordered midpoint pruning: intermediates are
-/// probed smallest-list-first so a hit on a cheap list short-circuits the
-/// expensive ones (the common case for JaccardUtility's directed
-/// hidden-support test, which calls this once per zero-crossing tail).
-bool TwoHopReaches(const CsrGraph& graph, NodeId target, NodeId node);
-
 /// Pass 1 of the full-vector kernel: expands the 2-hop frontier of
 /// `target` into `scratch` (which the caller must have PrepareFor'd with
 /// the expansion size): the accumulator — scratch.counts (exact integer

@@ -71,23 +71,30 @@ class UtilityFunction {
     return static_cast<double>(degree_cap) * SensitivityBound(projected);
   }
 
-  /// Incremental-maintenance capability (see README "Incremental
-  /// maintenance"): true iff EdgeDeltaWindowAffects is exact, so an entry
-  /// it clears may be kept. The serving cache then keeps every cached
-  /// vector a drained journal window cannot change and recomputes only the
-  /// ones it flags. Utilities without an exact test (the 3-hop
-  /// weighted-paths family) leave this false and recompute on every graph
-  /// change.
+  /// Cache-repair capability (README "The keep-test contract"): true iff
+  /// this utility's keep test meets the contract on EdgeDeltaAffects, so
+  /// the serving cache may keep an entry the test clears and recompute
+  /// only the ones it flags. Common neighbors, Adamic-Adar and resource
+  /// allocation opt in with the structural default; every other utility
+  /// leaves this false and recomputes its entries on every graph change.
   virtual bool SupportsIncrementalUpdate() const { return false; }
 
-  /// Whether `delta` can change the target's vector, given the cached
-  /// pre-delta vector. The default is the structural 2-hop test
-  /// (EdgeDeltaAffectsTarget), which is exact for utilities of the
-  /// Σ weight(deg(intermediate)) form; utilities whose scores also depend
-  /// on CANDIDATE-side degrees (Jaccard's union term) must widen it —
-  /// keeping an entry this test clears must be exactly as good as
-  /// recomputing it. Evaluated against the post-batch snapshot with the
-  /// same whole-window caveat as EdgeDeltaAffectsTarget.
+  /// Keep test: whether `delta` can change the target's vector, given the
+  /// cached pre-delta vector. A keep test an opted-in utility uses must
+  ///  - be exact: an entry it clears equals a fresh Compute on the
+  ///    post-window snapshot, bit for bit (flagging an unchanged entry
+  ///    only costs a recompute);
+  ///  - read only the target's own adjacency and the window's endpoints.
+  ///    Both are equal on the two sides of a relaxed edge-DP pair
+  ///    (Section 3.2: the graphs differ in an edge not incident to the
+  ///    target), so whether an entry is kept or recomputed, and with it
+  ///    the serve's latency, cannot depend on the private edge. A test
+  ///    that also reads `cached`, candidate degrees or the graph beyond
+  ///    the target's neighbors breaks this even when it is exact.
+  /// The default is the structural 2-hop rule (EdgeDeltaAffectsTarget),
+  /// which meets both for utilities of the Σ weight(deg(intermediate))
+  /// form. Evaluated against the post-batch snapshot with the same
+  /// whole-window caveat as EdgeDeltaAffectsTarget.
   virtual bool EdgeDeltaAffects(const CsrGraph& graph, const EdgeDelta& delta,
                                 NodeId target,
                                 const UtilityVector& cached) const {
@@ -95,13 +102,9 @@ class UtilityFunction {
     return EdgeDeltaAffectsTarget(graph, delta, target);
   }
 
-  /// Whole-window form of EdgeDeltaAffects — what cache-repair decisions
-  /// must go through. The default ORs the per-delta test, which is exact
-  /// for the structural 2-hop rule; utilities whose per-delta test needs
-  /// pre-window state the final snapshot no longer shows (Jaccard's
-  /// hidden-support clause depends on a tail's PRE-window degree, which a
-  /// single post-batch OutDegree lookup cannot reconstruct once several
-  /// deltas moved it) override this to net the window first.
+  /// Whole-window form of EdgeDeltaAffects, under the same contract; cache
+  /// repair decides through this one. The default ORs the per-delta test,
+  /// which is exact for the structural rule.
   virtual bool EdgeDeltaWindowAffects(const CsrGraph& graph,
                                       std::span<const EdgeDelta> deltas,
                                       NodeId target,

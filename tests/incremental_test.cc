@@ -1,11 +1,12 @@
 // Incremental-maintenance suite (ctest label `incremental`): the
 // edge-delta journal and patched snapshot publication on DynamicGraph, the
-// exactness of every utility's keep test (an entry EdgeDeltaWindowAffects
-// clears equals a fresh Compute, bit for bit), and the keep-or-recompute
-// serving cache (differential vs the full-recompute baseline,
-// journal-compaction fallback, frozen-sampler survival, and a TSAN-facing
-// concurrent mutate/repair stress — ci/sanitize.sh runs this label under
-// ThreadSanitizer and the whole suite under ASan+UBSan).
+// exactness of the keep test of every utility that opts into cache repair
+// (an entry EdgeDeltaWindowAffects clears equals a fresh Compute, bit for
+// bit), and the keep-or-recompute serving cache (differential vs the
+// full-recompute baseline, journal-compaction fallback, frozen-sampler
+// survival, and a TSAN-facing concurrent mutate/repair stress —
+// ci/sanitize.sh runs this label under ThreadSanitizer and the whole suite
+// under ASan+UBSan).
 
 #include <algorithm>
 #include <atomic>
@@ -30,7 +31,6 @@
 #include "utility/adamic_adar.h"
 #include "utility/common_neighbors.h"
 #include "utility/link_predictors.h"
-#include "utility/personalized_pagerank.h"
 #include "utility/sensitivity.h"
 
 namespace privrec {
@@ -435,61 +435,6 @@ TEST(KeepTestTest, ResourceAllocationKeepsOnlyExactEntries) {
   RunKeepTestIsExactProperty(ra, /*directed=*/true, 136);
 }
 
-TEST(KeepTestTest, JaccardKeepsOnlyExactEntries) {
-  // Jaccard widens the structural rule by the cached support (candidate
-  // degrees enter the union term) and, on directed graphs, by the
-  // hidden-support clause; a missed dependence would keep a stale vector.
-  JaccardUtility jaccard;
-  RunKeepTestIsExactProperty(jaccard, /*directed=*/false, 137);
-  RunKeepTestIsExactProperty(jaccard, /*directed=*/true, 138);
-}
-
-TEST(KeepTestTest, KatzKeepsOnlyExactEntries) {
-  // The walk-cone test (depth L - 1) replaces the 2-hop rule.
-  KatzUtility katz(0.05, 3);
-  RunKeepTestIsExactProperty(katz, /*directed=*/false, 139);
-  RunKeepTestIsExactProperty(katz, /*directed=*/true, 140);
-}
-
-TEST(KeepTestTest, PersonalizedPageRankKeepsOnlyExactEntries) {
-  // The push-cone test (depth iterations - 1), dangling restarts included.
-  PersonalizedPageRankUtility ppr(0.2, 4);
-  RunKeepTestIsExactProperty(ppr, /*directed=*/false, 141);
-  RunKeepTestIsExactProperty(ppr, /*directed=*/true, 142);
-}
-
-TEST(KeepTestTest, JaccardDirectedHiddenSupportSurfacesAcrossWindow) {
-  // Regression: candidate 5 has arcs 1->5 and 2->5, out-degree 0, and full
-  // intersection with target 0 (N_out(0) = {1,2}) — suppressed by
-  // Compute's uni > 0 guard, hence absent from the cached support. A
-  // window {add 5->3, add 5->4} moves 5's out-degree 0 -> 2 without any
-  // structural contact with target 0; a per-delta OutDegree test sees 2
-  // for both deltas and would KEEP the stale vector, but the window form
-  // nets the arcs back to the pre-window degree 0 and must flag it.
-  GraphBuilder builder(/*directed=*/true);
-  builder.SetNumNodes(6);
-  builder.AddEdge(0, 1);
-  builder.AddEdge(0, 2);
-  builder.AddEdge(1, 5);
-  builder.AddEdge(2, 5);
-  DynamicGraph graph(builder.Build());
-  JaccardUtility jaccard;
-  UtilityWorkspace workspace;
-  const DynamicGraph::StampedSnapshot before = graph.VersionedSnapshot();
-  const UtilityVector cached = jaccard.Compute(*before.graph, 0, workspace);
-  EXPECT_TRUE(cached.nonzero().empty()) << "candidate 5 must start hidden";
-  ASSERT_TRUE(graph.AddEdge(5, 3).ok());
-  ASSERT_TRUE(graph.AddEdge(5, 4).ok());
-  const DynamicGraph::StampedSnapshot after = graph.VersionedSnapshot();
-  const std::vector<EdgeDelta> window = {{5, 3, true, after.version - 1},
-                                         {5, 4, true, after.version}};
-  ASSERT_TRUE(
-      jaccard.EdgeDeltaWindowAffects(*after.graph, window, 0, cached))
-      << "window form missed the 0 -> 2 out-degree crossing";
-  EXPECT_FALSE(jaccard.Compute(*after.graph, 0, workspace).nonzero().empty())
-      << "candidate 5 should have surfaced";
-}
-
 TEST(KeepTestTest, FormerPatchHooksDefaultToTheFullRecompute) {
   // The base-class patch hooks stay for out-of-library wrappers; their
   // defaults must remain correct: recompute, no batch support, and a
@@ -887,84 +832,6 @@ TEST(IncrementalServiceTest, WideSkewedWindowRecomputesOnlyTheAffectedUser) {
   EXPECT_EQ(stats.delta_kept, 2u);
   EXPECT_EQ(stats.delta_patched, 0u);
   EXPECT_EQ(stats.journal_fallbacks, 0u);
-}
-
-TEST(IncrementalServiceTest, DirectedJaccardKeepsEntriesUntouchedByFarWrites) {
-  // Regression for the directed-Jaccard affectedness trap: the old
-  // hidden-support clause flagged EVERY cached entry whenever any tail
-  // crossed out of degree zero anywhere in the graph, recomputing all of
-  // them. The narrowed clause only fires when the target can actually
-  // 2-hop-reach the crossing tail, so far-away writes keep the entry.
-  auto graph = std::make_unique<DynamicGraph>(12, /*directed=*/true);
-  ASSERT_TRUE(graph->AddEdge(0, 1).ok());
-  ASSERT_TRUE(graph->AddEdge(0, 2).ok());
-  ASSERT_TRUE(graph->AddEdge(3, 1).ok());  // candidate 3: I=1, uni=2
-  ASSERT_TRUE(graph->AddEdge(8, 9).ok());
-  ServiceOptions options = IncrementalServiceOptions();
-  options.num_shards = 1;
-  RecommendationService service(graph.get(),
-                                std::make_unique<JaccardUtility>(), options);
-  Rng rng(93);
-  ASSERT_TRUE(service.ServeRecommendation(0, rng).ok());
-  // Tail 6 crosses OUT of degree zero — the old clause recomputed user
-  // 0's entry for this; 0 cannot 2-hop-reach 6, so it must be kept.
-  ASSERT_TRUE(service.AddEdge(6, 7).ok());
-  ASSERT_TRUE(service.ServeRecommendation(0, rng).ok());
-  // Tail 8 falls back TO degree zero far away: also kept.
-  ASSERT_TRUE(service.RemoveEdge(8, 9).ok());
-  ASSERT_TRUE(service.ServeRecommendation(0, rng).ok());
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.delta_kept, 2u)
-      << "directed Jaccard recomputed entries far writes cannot touch";
-  EXPECT_EQ(stats.delta_recomputed, 0u);
-  EXPECT_EQ(stats.delta_patched, 0u);
-}
-
-TEST(IncrementalServiceTest, JaccardServesIdenticallyToBaseline) {
-  // Jaccard's keep test is exact, so the same byte-identical differential
-  // as common neighbors must hold — this drives
-  // JaccardUtility::EdgeDeltaWindowAffects through the real repair path,
-  // where a missed union-term dependence would surface as a diverging
-  // serve.
-  Rng graph_rng(151);
-  auto weights = PowerLawWeights(150, 2.2);
-  auto base = ChungLu(weights, weights, 700, /*directed=*/false, graph_rng);
-  ASSERT_TRUE(base.ok());
-  DynamicGraph graph_delta(*base);
-  DynamicGraph graph_baseline(*base);
-  graph_baseline.SetJournalCapacity(0);
-  RecommendationService delta_service(&graph_delta,
-                                      std::make_unique<JaccardUtility>(),
-                                      IncrementalServiceOptions());
-  RecommendationService baseline_service(&graph_baseline,
-                                         std::make_unique<JaccardUtility>(),
-                                         IncrementalServiceOptions());
-  Rng ops_rng(153);
-  for (int op = 0; op < 800; ++op) {
-    if (ops_rng.NextBernoulli(0.15)) {
-      const NodeId u = static_cast<NodeId>(ops_rng.NextBounded(150));
-      const NodeId v = static_cast<NodeId>(ops_rng.NextBounded(150));
-      if (u == v) continue;
-      if (graph_delta.HasEdge(u, v)) {
-        ASSERT_TRUE(delta_service.RemoveEdge(u, v).ok());
-        ASSERT_TRUE(baseline_service.RemoveEdge(u, v).ok());
-      } else {
-        ASSERT_TRUE(delta_service.AddEdge(u, v).ok());
-        ASSERT_TRUE(baseline_service.AddEdge(u, v).ok());
-      }
-    } else {
-      const NodeId user = static_cast<NodeId>(ops_rng.NextBounded(150));
-      auto rec_a = delta_service.ServeRecommendation(user);
-      auto rec_b = baseline_service.ServeRecommendation(user);
-      ASSERT_EQ(rec_a.ok(), rec_b.ok()) << "op " << op;
-      if (rec_a.ok()) ASSERT_EQ(*rec_a, *rec_b) << "op " << op;
-    }
-  }
-  const ServiceStats stats = delta_service.stats();
-  EXPECT_GT(stats.delta_kept, 0u);
-  EXPECT_GT(stats.delta_recomputed, 0u);
-  EXPECT_EQ(stats.delta_patched, 0u);
-  EXPECT_EQ(stats.cache_invalidations, 0u);
 }
 
 TEST(IncrementalServiceTest, JournalAwareEvictionPurgesDoomedEntries) {

@@ -7,6 +7,9 @@
 // sampler, post-mutation re-freeze, multi-shard). The ServiceAuditor's ε̂
 // is Clopper–Pearson-certified, so the "broken mechanism is flagged"
 // assertions are high-probability statements, not flaky point estimates.
+// The route-parity tests at the end check, exactly rather than
+// statistically, that cache repair takes the same route on both sides of
+// a pair, so serve latency cannot reveal the private edge.
 //
 // Trial counts are sized from the host's core count — not for
 // parallelism (the audit loops are sequential) but as a host-class
@@ -19,7 +22,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -28,12 +34,15 @@
 #include "gen/fixtures.h"
 #include "gen/generators.h"
 #include "gen/neighboring.h"
+#include "graph/graph_builder.h"
 #include "gtest/gtest.h"
 #include "random/rng.h"
 #include "serve/recommendation_service.h"
+#include "utility/adamic_adar.h"
 #include "utility/common_neighbors.h"
 #include "utility/link_predictors.h"
 #include "utility/personalized_pagerank.h"
+#include "utility/weighted_paths.h"
 
 // Sanitized builds (TSAN/ASan runs in ci/sanitize.sh) pay a ~10x
 // slowdown; the heavyweight statistical assertions scale their trial
@@ -618,20 +627,22 @@ TEST(NodeDpAuditTest, HonestNodeServiceHonorsEpsilonOnAllFourPaths) {
   EXPECT_EQ(audit->pairs_checked, 1u);
 }
 
+/// A utility factory with a name for failure messages.
+struct NamedUtility {
+  const char* name;
+  std::function<std::unique_ptr<UtilityFunction>()> make;
+};
+
 TEST(NodeDpAuditTest, HonestKatzAndPprHonorEpsilonUnderNodeModel) {
   // The non-default sensitivity forms: Katz inherits the D·Δf_edge
   // envelope, PPR overrides with the cap-independent 2(1-α)/α closed
   // form. Both must stay ≤ ε on the same trip-wire pair.
-  struct NamedFactory {
-    const char* name;
-    std::function<std::unique_ptr<UtilityFunction>()> make;
-  };
-  const NamedFactory factories[] = {
+  const NamedUtility factories[] = {
       {"katz", [] { return std::make_unique<KatzUtility>(0.05, 3); }},
       {"ppr",
        [] { return std::make_unique<PersonalizedPageRankUtility>(0.2, 8); }},
   };
-  for (const NamedFactory& factory : factories) {
+  for (const NamedUtility& factory : factories) {
     ServiceAuditOptions options = NodeAuditOptions(/*epsilon=*/0.5,
                                                    /*degree_cap=*/2);
     options.trials_per_side = PRIVREC_TEST_SANITIZED ? 400 : 1500;
@@ -787,90 +798,255 @@ TEST(NodeDpAuditTest, AuditServesChargeNoBudgetOrWindowUnderNodeModel) {
   EXPECT_EQ(stats.refused_budget, 0u);
 }
 
-// ----------------------------------------------- Katz/PPR serve differential
-// The incremental-update satellite's end-to-end pin: a delta-repaired
-// service over KatzUtility / PersonalizedPageRankUtility must serve
-// BYTE-IDENTICAL sequences to the recompute-everything baseline (their
-// keep test is the exact walk/push cone and affected entries recompute,
-// so repair changes cost, never outcomes).
+// ------------------------------------------------------------ route parity
+// Serve latency is itself a side channel (Haeberlen, Pierce & Narayan,
+// USENIX Security 2011): a stale cache entry that is kept costs a few µs,
+// one that is recomputed costs a full Compute. The pick's ε-DP says
+// nothing about the route, so the route must not depend on the private
+// edge. Under one mirrored schedule (the same toggles and serves on both
+// sides of a relaxed edge-DP pair) the route is a deterministic function
+// of the schedule and the keep test, so parity is checked exactly rather
+// than estimated: after every serve, each route counter must have moved by
+// the same amount on both sides. Sampler re-freezes (sampler_reuses)
+// follow the calibration, not the route, and are not checked here.
 
-TEST(NodeDpAuditTest, KatzAndPprDeltaModeServeIdenticallyToBaseline) {
-  struct NamedFactory {
-    const char* name;
-    std::function<std::unique_ptr<UtilityFunction>()> make;
-  };
-  const NamedFactory factories[] = {
-      {"katz", [] { return std::make_unique<KatzUtility>(0.05, 3); }},
-      {"ppr",
-       [] { return std::make_unique<PersonalizedPageRankUtility>(0.2, 4); }},
-  };
-  for (const NamedFactory& factory : factories) {
-    // Sparse 300-node graph: most toggles fall outside a cached target's
-    // walk/push cone (delta_kept), while near-target toggles drive the
-    // recompute route (delta_recomputed) — both must run for the
-    // differential to certify anything.
-    Rng graph_rng(71);
-    auto base = ErdosRenyiGnm(300, 450, /*directed=*/false, graph_rng);
-    ASSERT_TRUE(base.ok()) << factory.name;
-    DynamicGraph graph_delta(*base);
-    DynamicGraph graph_baseline(*base);
-    graph_baseline.SetJournalCapacity(0);
-    ServiceOptions options;
-    options.release_epsilon = 0.25;
-    options.per_user_budget = 1e6;
-    options.cache_capacity = 256;
-    options.num_shards = 4;
-    options.seed = 2026;
-    RecommendationService delta_service(&graph_delta, factory.make(), options);
-    RecommendationService baseline_service(&graph_baseline, factory.make(),
-                                           options);
-    Rng ops_rng(73);
-    const int ops = PRIVREC_TEST_SANITIZED ? 250 : 600;
-    for (int op = 0; op < ops; ++op) {
-      if (ops_rng.NextBernoulli(0.15)) {
-        const NodeId u = static_cast<NodeId>(ops_rng.NextBounded(300));
-        const NodeId v = static_cast<NodeId>(ops_rng.NextBounded(300));
-        if (u == v) continue;
-        if (graph_delta.HasEdge(u, v)) {
-          ASSERT_TRUE(delta_service.RemoveEdge(u, v).ok());
-          ASSERT_TRUE(baseline_service.RemoveEdge(u, v).ok());
-        } else {
-          ASSERT_TRUE(delta_service.AddEdge(u, v).ok());
-          ASSERT_TRUE(baseline_service.AddEdge(u, v).ok());
-        }
-      } else if (ops_rng.NextBernoulli(0.2)) {
-        const NodeId user = static_cast<NodeId>(ops_rng.NextBounded(300));
-        auto list_a = delta_service.ServeList(user, 3);
-        auto list_b = baseline_service.ServeList(user, 3);
-        ASSERT_EQ(list_a.ok(), list_b.ok()) << factory.name << " op " << op;
-        if (!list_a.ok()) continue;
-        ASSERT_EQ(list_a->picks.size(), list_b->picks.size());
-        for (size_t p = 0; p < list_a->picks.size(); ++p) {
-          ASSERT_EQ(list_a->picks[p].node, list_b->picks[p].node)
-              << factory.name << " op " << op << " pick " << p;
-        }
+/// One step of a mirrored schedule: toggle (u, v), or serve `user` a
+/// single recommendation (list_k == 0) or a list of list_k.
+struct MirroredOp {
+  bool toggle = false;
+  NodeId u = 0;
+  NodeId v = 0;
+  NodeId user = 0;
+  size_t list_k = 0;
+};
+
+/// The ServiceStats counters that name the route a serve took.
+constexpr std::pair<const char*, uint64_t ServiceStats::*> kRouteCounters[] =
+    {{"delta_kept", &ServiceStats::delta_kept},
+     {"delta_recomputed", &ServiceStats::delta_recomputed},
+     {"cache_invalidations", &ServiceStats::cache_invalidations},
+     {"journal_fallbacks", &ServiceStats::journal_fallbacks},
+     {"doomed_evictions", &ServiceStats::doomed_evictions},
+     {"cache_hits", &ServiceStats::cache_hits},
+     {"cache_misses", &ServiceStats::cache_misses}};
+
+struct RouteParityReport {
+  /// One line per serve and route counter that moved differently.
+  std::vector<std::string> mismatches;
+  /// The base side's counters at the end: which routes the schedule ran.
+  ServiceStats base_stats;
+
+  std::string First() const {
+    return mismatches.empty() ? "" : mismatches.front();
+  }
+};
+
+/// Drives `ops` through one single-shard service per side of `pair`, with
+/// equal options and seed, and compares the route counters around every
+/// serve. The small cache and journal put evictions and journal fallbacks
+/// on the schedule too.
+RouteParityReport CheckRouteParity(
+    const std::function<std::unique_ptr<UtilityFunction>()>& make_utility,
+    const NeighboringPair& pair, std::span<const MirroredOp> ops) {
+  ServiceOptions options;
+  options.release_epsilon = 0.5;
+  options.per_user_budget = 1e9;
+  options.cache_capacity = 4;
+  options.num_shards = 1;
+  options.seed = 404;
+  DynamicGraph graphs[2] = {DynamicGraph(pair.base),
+                            DynamicGraph(pair.neighbor)};
+  std::unique_ptr<RecommendationService> services[2];
+  for (int side = 0; side < 2; ++side) {
+    graphs[side].SetJournalCapacity(6);
+    services[side] = std::make_unique<RecommendationService>(
+        &graphs[side], make_utility(), options);
+  }
+  RouteParityReport report;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const MirroredOp& op = ops[i];
+    if (op.toggle) {
+      const bool present = graphs[0].HasEdge(op.u, op.v);
+      PRIVREC_CHECK(present == graphs[1].HasEdge(op.u, op.v));
+      for (const auto& service : services) {
+        PRIVREC_CHECK_OK(present ? service->RemoveEdge(op.u, op.v)
+                                 : service->AddEdge(op.u, op.v));
+      }
+      continue;
+    }
+    ServiceStats moved[2];
+    for (int side = 0; side < 2; ++side) {
+      const ServiceStats before = services[side]->stats();
+      if (op.list_k == 0) {
+        (void)services[side]->ServeRecommendation(op.user);
       } else {
-        const NodeId user = static_cast<NodeId>(ops_rng.NextBounded(300));
-        auto rec_a = delta_service.ServeRecommendation(user);
-        auto rec_b = baseline_service.ServeRecommendation(user);
-        ASSERT_EQ(rec_a.ok(), rec_b.ok()) << factory.name << " op " << op;
-        if (rec_a.ok()) {
-          ASSERT_EQ(*rec_a, *rec_b) << factory.name << " op " << op;
-        }
+        (void)services[side]->ServeList(op.user, op.list_k);
+      }
+      moved[side] = services[side]->stats();
+      for (const auto& [name, field] : kRouteCounters) {
+        moved[side].*field -= before.*field;
       }
     }
-    const ServiceStats delta_stats = delta_service.stats();
-    const ServiceStats baseline_stats = baseline_service.stats();
-    EXPECT_EQ(delta_stats.served, baseline_stats.served) << factory.name;
-    // The differential is only meaningful if both repair verdicts ran:
-    // cone-keeps on far toggles AND recomputes near the target.
-    EXPECT_GT(delta_stats.delta_kept, 0u) << factory.name;
-    EXPECT_GT(delta_stats.delta_recomputed, 0u) << factory.name;
-    EXPECT_EQ(delta_stats.delta_patched, 0u) << factory.name;
-    EXPECT_EQ(baseline_stats.delta_kept, 0u) << factory.name;
-    EXPECT_EQ(baseline_stats.delta_recomputed, 0u) << factory.name;
-    EXPECT_GT(delta_stats.cache_hits, baseline_stats.cache_hits)
-        << factory.name;
+    for (const auto& [name, field] : kRouteCounters) {
+      if (moved[0].*field == moved[1].*field) continue;
+      report.mismatches.push_back(
+          "op " + std::to_string(i) + " serve(" + std::to_string(op.user) +
+          (op.list_k == 0 ? "" : ", k=" + std::to_string(op.list_k)) +
+          ") " + name + " +" + std::to_string(moved[0].*field) + " vs +" +
+          std::to_string(moved[1].*field) + " on " + pair.ToString());
+    }
+  }
+  report.base_stats = services[0]->stats();
+  return report;
+}
+
+/// Every utility the library ships, at its default parameters.
+std::vector<NamedUtility> ShippedUtilities() {
+  return {
+      {"common_neighbors",
+       [] { return std::make_unique<CommonNeighborsUtility>(); }},
+      {"adamic_adar", [] { return std::make_unique<AdamicAdarUtility>(); }},
+      {"resource_allocation",
+       [] { return std::make_unique<ResourceAllocationUtility>(); }},
+      {"jaccard", [] { return std::make_unique<JaccardUtility>(); }},
+      {"preferential_attachment",
+       [] { return std::make_unique<PreferentialAttachmentUtility>(); }},
+      {"katz", [] { return std::make_unique<KatzUtility>(); }},
+      {"ppr", [] { return std::make_unique<PersonalizedPageRankUtility>(); }},
+      {"weighted_paths",
+       [] { return std::make_unique<WeightedPathsUtility>(0.05); }},
+  };
+}
+
+/// Common neighbors whose keep test also flags a window endpoint with a
+/// positive cached score: still exact, only more conservative, but the
+/// cached support depends on edges the target does not touch, so the
+/// route leaks them. This is the clause Jaccard's keep test carried.
+class CachedSupportKeepCn : public CommonNeighborsUtility {
+ public:
+  bool EdgeDeltaWindowAffects(const CsrGraph& graph,
+                              std::span<const EdgeDelta> deltas,
+                              NodeId target,
+                              const UtilityVector& cached) const override {
+    if (CommonNeighborsUtility::EdgeDeltaWindowAffects(graph, deltas, target,
+                                                       cached)) {
+      return true;
+    }
+    for (const EdgeDelta& delta : deltas) {
+      for (const UtilityEntry& entry : cached.nonzero()) {
+        if (entry.node == delta.u || entry.node == delta.v) return true;
+      }
+    }
+    return false;
+  }
+};
+
+/// The 12-node probe pair, undirected, differing in the edge (1, 3): the
+/// base side has it when `base_has_edge`. Target 0 reaches 4 and 6
+/// through 1 and 2; without (1, 3), node 3 lies in another component.
+NeighboringPair RouteProbePair(bool base_has_edge) {
+  GraphBuilder builder(/*directed=*/false);
+  builder.SetNumNodes(12);
+  const std::pair<NodeId, NodeId> edges[] = {
+      {0, 1}, {0, 2}, {1, 4}, {2, 6}, {4, 8}, {6, 8}, {3, 9}, {5, 10},
+      {9, 11}};
+  for (const auto& [u, v] : edges) builder.AddEdge(u, v);
+  if (base_has_edge) builder.AddEdge(1, 3);
+  auto pair = MakeEdgeTogglePair(builder.Build(), /*target=*/0, 1, 3);
+  PRIVREC_CHECK_OK(pair.status());
+  return *pair;
+}
+
+/// Serve 0, toggle (3, 5), serve 0. With (1, 3), node 3 is in 0's 2-hop
+/// set and walk cone; without it, 0 cannot reach 3 at all.
+constexpr MirroredOp kRouteProbeSchedule[] = {
+    {.user = 0}, {.toggle = true, .u = 3, .v = 5}, {.user = 0}};
+
+TEST(RouteParityTest, EveryUtilityTakesTheSameRouteOnSampledPairs) {
+  ServiceStats total;
+  for (const bool directed : {false, true}) {
+    constexpr NodeId kNodes = 16;
+    Rng graph_rng(directed ? 8802u : 8801u);
+    auto graph = ErdosRenyiGnm(kNodes, 26, directed, graph_rng);
+    ASSERT_TRUE(graph.ok());
+    Rng pair_rng(directed ? 8804u : 8803u);
+    auto pairs = SampleEdgeTogglePairs(*graph, /*target=*/0,
+                                       /*max_pairs=*/4, pair_rng);
+    ASSERT_TRUE(pairs.ok());
+    for (const NeighboringPair& pair : *pairs) {
+      // Users besides the target are served only if the private edge does
+      // not touch them: then the pair is a relaxed edge-DP pair for them
+      // too. Toggles skip the private slot, so both sides always apply
+      // the same operation.
+      std::vector<NodeId> users = {0};
+      for (NodeId w = 1; w < kNodes && users.size() < 5; w += 3) {
+        if (w != pair.u && w != pair.v) users.push_back(w);
+      }
+      auto is_private = [&](NodeId a, NodeId b) {
+        return (a == pair.u && b == pair.v) ||
+               (!directed && a == pair.v && b == pair.u);
+      };
+      Rng ops_rng(pair.u * 131 + pair.v);
+      std::vector<MirroredOp> ops;
+      while (ops.size() < 160) {
+        if (ops_rng.NextBernoulli(0.35)) {
+          const NodeId a = static_cast<NodeId>(ops_rng.NextBounded(kNodes));
+          const NodeId b = static_cast<NodeId>(ops_rng.NextBounded(kNodes));
+          if (a == b || is_private(a, b)) continue;
+          ops.push_back({.toggle = true, .u = a, .v = b});
+          continue;
+        }
+        const NodeId user = users[ops_rng.NextBounded(users.size())];
+        const size_t k = ops_rng.NextBernoulli(0.25) ? 3 : 0;
+        ops.push_back({.user = user, .list_k = k});
+      }
+      for (const NamedUtility& utility : ShippedUtilities()) {
+        const RouteParityReport report =
+            CheckRouteParity(utility.make, pair, ops);
+        EXPECT_TRUE(report.mismatches.empty())
+            << utility.name << (directed ? " directed: " : " undirected: ")
+            << report.mismatches.size() << " route mismatches, first "
+            << report.First();
+        const ServiceStats& stats = report.base_stats;
+        if (utility.make()->SupportsIncrementalUpdate()) {
+          EXPECT_GT(stats.delta_kept, 0u) << utility.name;
+          EXPECT_GT(stats.delta_recomputed, 0u) << utility.name;
+        } else {
+          EXPECT_GT(stats.cache_invalidations, 0u) << utility.name;
+        }
+        total += stats;
+      }
+    }
+  }
+  // Parity only certifies the routes the schedules actually took.
+  for (const auto& [name, field] : kRouteCounters) {
+    EXPECT_GT(total.*field, 0u) << name << " never ran";
+  }
+}
+
+TEST(RouteParityTest, EveryUtilityTakesTheSameRouteOnTheProbePair) {
+  for (const bool base_has_edge : {true, false}) {
+    const NeighboringPair pair = RouteProbePair(base_has_edge);
+    for (const NamedUtility& utility : ShippedUtilities()) {
+      const RouteParityReport report =
+          CheckRouteParity(utility.make, pair, kRouteProbeSchedule);
+      EXPECT_TRUE(report.mismatches.empty())
+          << utility.name << ": " << report.First();
+    }
+  }
+}
+
+TEST(RouteParityTest, CachedSupportKeepTestIsReportedAsARouteLeak) {
+  // The negative control: on the probe pair the leaky keep test recomputes
+  // 0's entry on the side with (1, 3) and keeps it on the other, so the
+  // checker must report the second serve.
+  for (const bool base_has_edge : {true, false}) {
+    const RouteParityReport report = CheckRouteParity(
+        [] { return std::make_unique<CachedSupportKeepCn>(); },
+        RouteProbePair(base_has_edge), kRouteProbeSchedule);
+    ASSERT_FALSE(report.mismatches.empty()) << "leaky keep test not caught";
+    EXPECT_EQ(report.First().rfind("op 2 serve(0) delta_kept", 0), 0u)
+        << report.First();
   }
 }
 

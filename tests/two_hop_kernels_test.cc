@@ -170,24 +170,6 @@ TEST(TwoHopKernelTest, ScratchRestsAllZeroBetweenCalls) {
 
 // ------------------------------------------------------- 2-hop reachability
 
-TEST(TwoHopKernelTest, TwoHopReachesAgreesWithUnitScore) {
-  Rng rng(13);
-  for (bool directed : {false, true}) {
-    auto g = ErdosRenyiGnm(200, 900, directed, rng);
-    ASSERT_TRUE(g.ok());
-    for (int i = 0; i < 300; ++i) {
-      const NodeId a = static_cast<NodeId>(rng.NextBounded(200));
-      const NodeId b = static_cast<NodeId>(rng.NextBounded(200));
-      // Brute-force probe loop: the common-neighbour score of b for a.
-      uint32_t score = 0;
-      for (const NodeId z : g->OutNeighbors(a)) score += g->HasEdge(z, b);
-      EXPECT_EQ(TwoHopReaches(*g, a, b), score > 0) << a << " -> " << b;
-    }
-  }
-}
-
-// ------------------------------------- production utilities stay on-contract
-
 TEST(TwoHopKernelTest, ProductionUtilitiesMatchTheirNaiveReferences) {
   Rng rng(77);
   const auto weights = PowerLawWeights(500, 2.2);
